@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dtbtrs
 
 from .problem import Problem, node_values
 
@@ -190,38 +191,38 @@ def state_residual(problem: Problem, traj: Trajectory) -> float:
 #
 # For x' = A(t) x + r(t) the one-step method gives an affine recurrence
 # x_{k+1} = Phi_k x_k + d_k with d_k linear in the node samples of r.  The
-# per-interval maps are precomputed in batch, and the recurrence is run as a
-# parallel prefix scan over affine maps.
+# per-interval maps are precomputed in batch.  With x_0 = 0 the recurrence
+# over all steps is one unit block-lower-bidiagonal linear system, solved as
+# a band by a single LAPACK call; the same band solved with trans="T" gives
+# the exact discrete adjoint.
 
 
 class _AffineScan:
-    """Prefix scan of y_{k+1} = M_k y_k + d_k from y_0 = 0.
+    """Banded solve of y_{k+1} = M_k y_k + d_k from y_0 = 0.
 
-    The doubling cascade of matrix products depends only on M, so it is
-    precomputed once; each application replays the vector half only, which
-    is what makes repeated applies with a fixed map cheap.
+    Stacking y_1..y_N gives L y = d with L unit block-lower-bidiagonal:
+    identity blocks on the diagonal and -M_k in block row k below it (M_0
+    never enters).  L has lower bandwidth 2n - 1, so its (2n, N n) lower
+    band is built once from M; ``run`` is one ``dtbtrs`` call in O(N n^2)
+    work, and ``transpose=True`` solves L^T mu = w on the same band.
     """
 
     def __init__(self, M: np.ndarray):
-        self.levels = []
-        M = M.copy()
-        span = 1
-        count = len(M)
-        while span < count:
-            self.levels.append((span, M[span:].copy()))
-            M[span:] = np.matmul(M[span:], M[:-span])
-            span *= 2
+        count, n = M.shape[0], M.shape[-1]
+        self.ab = np.zeros((2 * n, count * n), order="F")
+        self.ab[0] = 1.0
+        a = np.arange(n)[:, None]
+        b = np.arange(n)[None, :]
+        self.ab[n + a - b, np.arange(count - 1)[:, None, None] * n + b] = -M[1:]
 
-    def run(self, d: np.ndarray) -> np.ndarray:
-        """Returns y_1..y_N for offsets d_0..d_{N-1}."""
-        v = d.copy()
-        for span, mats in self.levels:
-            v[span:] = np.matmul(mats, v[:-span, :, None])[:, :, 0] + v[span:]
-        return v
-
-
-def _affine_scan(M: np.ndarray, d: np.ndarray) -> np.ndarray:
-    return _AffineScan(M).run(d)
+    def run(self, d: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """Returns y_1..y_N for offsets d_0..d_{N-1}; with ``transpose``, the
+        solution of the transposed system for weights d on y_1..y_N."""
+        y, info = dtbtrs(self.ab, d.reshape(-1, 1), uplo="L",
+                         trans="T" if transpose else "N", diag="U")
+        if info != 0:
+            raise np.linalg.LinAlgError(f"banded triangular solve failed (LAPACK info {info})")
+        return y.reshape(d.shape)
 
 
 def _stage_maps(A: np.ndarray, h: float):
@@ -261,7 +262,8 @@ def _stage_maps(A: np.ndarray, h: float):
 class LinearStateMap:
     """Discrete map u -> x for x' = A(t) x + B(t) u, x(0) = 0, plus its transpose.
 
-    The transpose is the exact adjoint of the discrete forward map, so
+    The transpose solves the transposed band of the same recurrence, so it
+    is the exact adjoint of the discrete forward map:
     <v, apply(u)> == <apply_transpose(v), u> to rounding for the flattened
     Euclidean inner products.
     """
@@ -274,12 +276,7 @@ class LinearStateMap:
         b0, be = B[:-1], B[1:]
         self.gamma0 = np.einsum("kij,kjl->kil", p0 + 0.5 * pm, b0)
         self.gamma1 = np.einsum("kij,kjl->kil", 0.5 * pm + pe, be)
-        self._forward_scan = _AffineScan(self.phi)
-        count = len(self.phi)
-        m = np.empty_like(self.phi)
-        m[0] = np.eye(self.n)
-        m[1:] = np.swapaxes(self.phi[::-1][: count - 1], 1, 2)
-        self._transpose_scan = _AffineScan(m)
+        self._scan = _AffineScan(self.phi)
 
     @classmethod
     def from_problem(cls, problem: Problem, traj: Trajectory) -> "LinearStateMap":
@@ -292,15 +289,13 @@ class LinearStateMap:
             "kij,kj->ki", self.gamma1, u[1:]
         )
         x = np.zeros((len(u), self.n))
-        x[1:] = self._forward_scan.run(d)
+        x[1:] = self._scan.run(d)
         return x
 
     def apply_transpose(self, v: np.ndarray) -> np.ndarray:
         """Transpose map: node weights on x (N+1, n) -> weights on u (N+1, l)."""
-        count = len(self.phi)
-        d = v[::-1][:count]
-        mu = self._transpose_scan.run(d)[::-1]  # mu[k]: sensitivity to x_{k+1}
-        grad = np.zeros((count + 1, self.l))
+        mu = self._scan.run(v[1:], transpose=True)  # mu[k]: sensitivity to x_{k+1}
+        grad = np.zeros((len(v), self.l))
         grad[:-1] += np.einsum("kij,ki->kj", self.gamma0, mu)
         grad[1:] += np.einsum("kij,ki->kj", self.gamma1, mu)
         return grad
@@ -309,8 +304,9 @@ class LinearStateMap:
 class BackwardLinearMap:
     """Backward integrator for p' = -A(t)^T p - s(t) with p(1) = 0.
 
-    Reuses the forward machinery on the time-reversed system; stage maps are
-    precomputed once so repeated solves with different sources are cheap.
+    Runs the time-reversed system q(s) = p(1 - s) forward: its stage maps
+    and the band of its bidiagonal recurrence are precomputed once, so each
+    solve is the source offsets plus one banded triangular solve.
     """
 
     def __init__(self, A: np.ndarray, grid: Grid):

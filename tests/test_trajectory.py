@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from paretocert import trajectory
 from paretocert.problem import builtin, load_problem
 from paretocert.trajectory import (
     BackwardLinearMap,
@@ -12,7 +13,7 @@ from paretocert.trajectory import (
     IntegrationError,
     LinearStateMap,
     Trajectory,
-    _affine_scan,
+    _AffineScan,
     build_fields,
     dynamics_jacobians,
     integrate_state,
@@ -181,11 +182,31 @@ class TestLinearMapInternals:
         for count in (1, 2, 3, 8, 13):
             M = 0.3 * rng.normal(size=(count, 2, 2))
             d = rng.normal(size=(count, 2))
-            got = _affine_scan(M, d)
+            got = _AffineScan(M).run(d)
             y = np.zeros(2)
             for k in range(count):
                 y = M[k] @ y + d[k]
                 np.testing.assert_allclose(got[k], y, rtol=1e-12, atol=1e-12)
+
+    def test_transposed_scan_matches_sequential_adjoint_recurrence(self):
+        # mu_{N-1} = w_{N-1}, mu_k = w_k + M_{k+1}^T mu_{k+1}: weights on y_1..y_N
+        rng = np.random.default_rng(8)
+        for n in (1, 2, 6):
+            for count in (1, 2, 3, 8, 13):
+                M = 0.3 * rng.normal(size=(count, n, n))
+                w = rng.normal(size=(count, n))
+                got = _AffineScan(M).run(w, transpose=True)
+                mu = w[-1]
+                np.testing.assert_allclose(got[-1], mu, rtol=1e-12, atol=1e-12)
+                for k in range(count - 2, -1, -1):
+                    mu = w[k] + M[k + 1].T @ mu
+                    np.testing.assert_allclose(got[k], mu, rtol=1e-12, atol=1e-12)
+
+    def test_nonzero_lapack_info_raises(self, monkeypatch):
+        monkeypatch.setattr(trajectory, "dtbtrs", lambda ab, b, **kw: (b, -2))
+        scan = _AffineScan(np.zeros((4, 2, 2)))
+        with pytest.raises(np.linalg.LinAlgError):
+            scan.run(np.ones((4, 2)))
 
     def test_apply_matches_stepwise_rk4(self):
         # independent reference: textbook per-step stages on interpolated data
