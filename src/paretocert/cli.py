@@ -33,7 +33,6 @@ from .problem import (
     builtin,
     load_problem,
     serialize,
-    validate_h2,
 )
 from .second_order import (
     SecondOrderWorkspace,
@@ -88,6 +87,13 @@ def _load_problem_arg(spec: str):
         raise _InputError(f"{spec}: {err}")
 
 
+def _check_columns(label: str, doc: Trajectory, problem) -> None:
+    for key, dim in (("x", problem.n), ("u", problem.l)):
+        cols = getattr(doc, key).shape[1]
+        if cols != dim:
+            raise _InputError(f"{label}: '{key}' has {cols} columns, the problem needs {dim}")
+
+
 def _load_trajectory(args, problem) -> Trajectory:
     if args.traj is None:
         grid = Grid(args.grid)
@@ -96,11 +102,13 @@ def _load_trajectory(args, problem) -> Trajectory:
     try:
         with open(args.traj, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        return Trajectory.from_dict(data)
+        traj = Trajectory.from_dict(data)
     except OSError as err:
         raise _InputError(f"cannot read trajectory file: {err}")
     except (KeyError, ValueError) as err:
         raise _InputError(f"{args.traj}: invalid trajectory document ({err})")
+    _check_columns(args.traj, traj, problem)
+    return traj
 
 
 def _load_directions(path: str) -> list[Direction]:
@@ -137,18 +145,15 @@ def _emit(args, payload: str) -> None:
             fh.write(payload)
 
 
-def _gate_fragments(problem, traj, tols, eps_act) -> dict:
-    res = state_residual(problem, traj)
-    # fixed wellposedness gate for theta recovery, independent of eps_act
-    h2 = validate_h2(problem, traj, alpha=1e-8)
-    ws = SecondOrderWorkspace(problem, traj)
-    g_max = float(np.max(ws.fields.g))
+def _gate_fragments(kws: KktWorkspace, tols) -> dict:
+    res = kws.fields.state_residual
+    g_max = float(np.max(kws.fields.g))
     feasibility = {
         "state_residual": res,
         "constraint_residual": max(0.0, g_max),
         "passed": bool(res <= tols.state and g_max <= tols.feasibility),
     }
-    return {"feasibility": feasibility, "h2": h2.to_dict()}, ws
+    return {"feasibility": feasibility, "h2": kws.h2.to_dict()}
 
 
 def _finish(args, command, problem, fragments, grid_n, tols, parameters, started):
@@ -178,8 +183,8 @@ def _cmd_check_kkt(args) -> int:
     lam = _lambda_arg(args, problem.m)
     traj = _load_trajectory(args, problem)
     tols = Tolerances.uniform(args.tol)
-    fragments, ws = _gate_fragments(problem, traj, tols, args.eps_act)
-    kws = KktWorkspace(problem, traj, fields=ws.fields)
+    kws = KktWorkspace(problem, traj)
+    fragments = _gate_fragments(kws, tols)
     _, _, report = kws.solve(lam, tols)
     fragments["kkt"] = report.to_dict()
     params = {"lambda": [float(v) for v in lam]}
@@ -190,13 +195,18 @@ def _cmd_check_kkt(args) -> int:
 def _cmd_check_socn(args) -> int:
     started = time.perf_counter()
     problem = _load_problem_arg(args.problem)
+    if args.probes < 1:
+        raise _UsageError("--probes must be at least 1")
     traj = _load_trajectory(args, problem)
     tols = Tolerances.uniform(args.tol)
-    fragments, ws = _gate_fragments(problem, traj, tols, args.eps_act)
+    ws = SecondOrderWorkspace(problem, traj)
+    fragments = _gate_fragments(ws.kkt, tols)
     params = {"lambda_grid": args.lambda_grid}
     if fragments["feasibility"]["passed"] and fragments["h2"]["passed"]:
         if args.directions is not None:
             directions = _load_directions(args.directions)
+            for i, direction in enumerate(directions):
+                _check_columns(f"{args.directions}: direction {i}", direction, problem)
             params["directions_path"] = args.directions
         else:
             directions = random_critical_directions(
@@ -222,14 +232,16 @@ def _cmd_check_socs(args) -> int:
     lam = _lambda_arg(args, problem.m)
     if args.gamma0 is None or args.gamma0 <= 0:
         raise _UsageError("--gamma0 must be a positive number")
+    if args.probes < 1:
+        raise _UsageError("--probes must be at least 1")
     traj = _load_trajectory(args, problem)
     tols = Tolerances.uniform(args.tol)
-    fragments, ws = _gate_fragments(problem, traj, tols, args.eps_act)
+    ws = SecondOrderWorkspace(problem, traj)
+    fragments = _gate_fragments(ws.kkt, tols)
     params = {"lambda": [float(v) for v in lam], "gamma0": args.gamma0,
               "probes": args.probes}
     if fragments["feasibility"]["passed"] and fragments["h2"]["passed"]:
-        kws = KktWorkspace(problem, traj, fields=ws.fields)
-        p, theta, _ = kws.solve(lam, tols)
+        p, theta, _ = ws.kkt.solve(lam, tols)
         triple = MultiplierTriple(lam, p, theta)
         frag = socs_verdict(
             problem, traj, triple, gamma0=args.gamma0, n_probes=args.probes,

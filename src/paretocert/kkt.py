@@ -12,23 +12,24 @@ by the constraint-sensitivity check; p and theta are coupled, so the solver
 iterates the pair to a fixed point.  theta lives on grid nodes, the natural
 sampling for the trapezoid quadrature used everywhere else.
 
-All functions are pure; sweeps over weight grids can share the immutable
-problem and trajectory freely.
+The command line builds one KktWorkspace per request (inside the
+SecondOrderWorkspace for the second-order commands); the gates, every
+weight's solve and every residual report read its field table and backward
+map.  The module-level functions build a fresh workspace per call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .problem import Problem, select_i0
+from .problem import H2Report, Problem
 from .trajectory import (
     BackwardLinearMap,
     Trajectory,
     TrajectoryFields,
     build_fields,
-    state_residual,
 )
 
 __all__ = [
@@ -45,6 +46,9 @@ __all__ = [
 
 class H2ViolationError(ValueError):
     """|g_u| too small at some node to divide the stationarity relation."""
+
+
+H2_ALPHA = 1e-8  # fixed wellposedness gate for theta recovery
 
 
 @dataclass(frozen=True)
@@ -64,15 +68,7 @@ class Tolerances:
         return cls(tol, tol, tol, tol, tol, tol, tol)
 
     def to_dict(self) -> dict:
-        return {
-            "stationarity": self.stationarity,
-            "adjoint": self.adjoint,
-            "terminal": self.terminal,
-            "sign": self.sign,
-            "complementarity": self.complementarity,
-            "feasibility": self.feasibility,
-            "state": self.state,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,7 +173,6 @@ def _kkt_residuals(
     lam: np.ndarray,
     p: np.ndarray,
     theta: np.ndarray,
-    state_res: float,
     tols: Tolerances,
 ) -> KktReport:
     stat = float(np.max(np.abs(_stationarity(fields, lam, p, theta))))
@@ -193,7 +188,7 @@ def _kkt_residuals(
         and sign <= tols.sign
         and comp <= tols.complementarity
         and feas <= tols.feasibility
-        and state_res <= tols.state
+        and fields.state_residual <= tols.state
     )
     return KktReport(
         stationarity_residual=stat,
@@ -202,7 +197,7 @@ def _kkt_residuals(
         theta_sign_violation=sign,
         complementarity_residual=comp,
         feasibility_residual=feas,
-        state_residual=state_res,
+        state_residual=fields.state_residual,
         passed=passed,
         tolerances=tols,
         lam=tuple(float(v) for v in lam),
@@ -211,16 +206,16 @@ def _kkt_residuals(
 
 
 class KktWorkspace:
-    """Shared per-(problem, trajectory) data for repeated multiplier solves."""
+    """Field table, backward map and H2 gate of one (problem, trajectory),
+    shared by the gates and every multiplier solve; theta is recovered from
+    the gate's i0."""
 
-    def __init__(self, problem: Problem, traj: Trajectory,
-                 fields: TrajectoryFields | None = None):
+    def __init__(self, problem: Problem, traj: Trajectory):
         self.problem = problem
-        self.traj = traj
-        self.fields = fields if fields is not None else build_fields(problem, traj)
+        self.fields = build_fields(problem, traj)
         self.backward = BackwardLinearMap(self.fields.phix, traj.grid)
-        self.i0, self.alpha_hat, _ = select_i0(self.fields.gu)
-        self.state_res = state_residual(problem, traj)
+        self.h2 = H2Report.from_gradient(self.fields.gu, H2_ALPHA)
+        self.i0 = self.h2.i0 - 1
 
     def solve_adjoint(self, lam, theta) -> np.ndarray:
         return self.backward.solve(_adjoint_source(self.fields, lam, theta))
@@ -230,8 +225,7 @@ class KktWorkspace:
 
     def residuals(self, lam, p, theta, tols: Tolerances) -> KktReport:
         return _kkt_residuals(
-            self.fields, self.backward, np.asarray(lam, dtype=float), p, theta,
-            self.state_res, tols,
+            self.fields, self.backward, np.asarray(lam, dtype=float), p, theta, tols,
         )
 
     def solve(self, lam, tols: Tolerances, fp_tol: float = 1e-10,

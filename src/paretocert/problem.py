@@ -121,9 +121,16 @@ class Problem:
 
 def _make_problem(n, l, m, x0, L_sources, phi_sources, g_source, name=None) -> Problem:
     dims = (n, l)
-    L = tuple(ex.parse(s, dims) for s in L_sources)
-    phi = tuple(ex.parse(s, dims) for s in phi_sources)
-    g = ex.parse(g_source, dims)
+
+    def parse(label, source):
+        try:
+            return ex.parse(source, dims)
+        except ex.ExprError as err:
+            raise ProblemFormatError(f"{label}: {err}") from None
+
+    L = tuple(parse(f"L[{i}]", s) for i, s in enumerate(L_sources))
+    phi = tuple(parse(f"phi[{i}]", s) for i, s in enumerate(phi_sources))
+    g = parse("g", g_source)
     xu = ex.control_variables(n, l)[1:]
     return Problem(
         n=n,
@@ -198,18 +205,6 @@ def load_problem(document) -> Problem:
     name = data.get("name")
     if name is not None and not isinstance(name, str):
         raise ProblemFormatError("'name' must be a string")
-
-    dims = (n, l)
-    for label, sources in (("L", L_sources), ("phi", phi_sources)):
-        for i, s in enumerate(sources):
-            try:
-                ex.parse(s, dims)
-            except ex.ExprError as err:
-                raise ProblemFormatError(f"{label}[{i}]: {err}") from None
-    try:
-        ex.parse(data["g"], dims)
-    except ex.ExprError as err:
-        raise ProblemFormatError(f"g: {err}") from None
 
     return _make_problem(n, l, m, x0, L_sources, phi_sources, data["g"], name)
 
@@ -314,28 +309,27 @@ class H2Report:
             "per_control_min": [float(v) for v in self.per_control_min],
         }
 
-
-def select_i0(gu_nodes: np.ndarray) -> tuple[int, float, np.ndarray]:
-    """0-based argmax_i of min_k |gu[k, i]| with lowest-index tie-break."""
-    mins = np.abs(gu_nodes).min(axis=0)
-    i0 = int(np.argmax(mins))  # np.argmax returns the first maximiser
-    return i0, float(mins[i0]), mins
+    @classmethod
+    def from_gradient(cls, gu_nodes: np.ndarray, alpha: float) -> "H2Report":
+        """The check on g_u already sampled at the nodes, shape (N+1, l)."""
+        if alpha <= 0:
+            raise ValueError("alpha must be positive")
+        mins = np.abs(gu_nodes).min(axis=0)
+        i0 = int(np.argmax(mins))  # np.argmax returns the first maximiser
+        return cls(
+            i0=i0 + 1,
+            alpha_hat=float(mins[i0]),
+            alpha=float(alpha),
+            passed=bool(mins[i0] >= alpha),
+            per_node=np.abs(gu_nodes[:, i0]),
+            per_control_min=mins,
+        )
 
 
 def validate_h2(problem: Problem, traj: "Trajectory", alpha: float) -> H2Report:
     """Check |g_{u_{i0}}| >= alpha at every grid node of the trajectory."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    gu = constraint_control_gradient(problem, traj)
-    i0, alpha_hat, mins = select_i0(gu)
-    return H2Report(
-        i0=i0 + 1,
-        alpha_hat=alpha_hat,
-        alpha=float(alpha),
-        passed=bool(alpha_hat >= alpha),
-        per_node=np.abs(gu[:, i0]),
-        per_control_min=mins,
-    )
+    gu = [node_values(problem, a, traj) for a in problem.g_derivs.grad[problem.n:]]
+    return H2Report.from_gradient(np.stack(gu, axis=1), alpha)
 
 
 def node_values(problem: Problem, ast: ex.ExprAst, traj: "Trajectory") -> np.ndarray:
@@ -349,9 +343,3 @@ def node_values(problem: Problem, ast: ex.ExprAst, traj: "Trajectory") -> np.nda
         out = np.full(t.shape, float(out))
     return out
 
-
-def constraint_control_gradient(problem: Problem, traj: "Trajectory") -> np.ndarray:
-    """g_u at every node, shape (N+1, l)."""
-    table = problem.g_derivs
-    cols = [node_values(problem, table.grad[problem.n + i], traj) for i in range(problem.l)]
-    return np.stack(cols, axis=1)

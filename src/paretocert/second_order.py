@@ -26,6 +26,7 @@ and every verdict that uses it carries an explicit coverage caveat.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -144,23 +145,33 @@ class WorstDirectionResult:
 
 
 class SecondOrderWorkspace:
-    """Reference-point data reused across directions, weights, and probes."""
+    """Reference-point data reused across directions, weights, and probes.
 
-    def __init__(self, problem: Problem, traj: Trajectory,
-                 fields: TrajectoryFields | None = None):
+    Wraps the request's KktWorkspace (``kkt``); builds the linear state map
+    and the c1 Riesz vectors on first use."""
+
+    def __init__(self, problem: Problem, traj: Trajectory):
         self.problem = problem
         self.traj = traj
-        self.fields = fields if fields is not None else build_fields(problem, traj)
+        self.kkt = KktWorkspace(problem, traj)
+        self.fields = self.kkt.fields
+        self.w = self.fields.w
+        self.gu_sq = np.einsum("kl,kl->k", self.fields.gu, self.fields.gu)
+
+    @cached_property
+    def linmap(self) -> LinearStateMap:
         f = self.fields
-        self.linmap = LinearStateMap(f.phix, f.phiu, traj.grid)
-        self.w = f.w
-        # exact Riesz vectors of the c1 functionals against nodal controls,
-        # under x = S u: c1_j(u) = <b_j, u> (flat Euclidean dot)
-        self.c1_vectors = [
+        return LinearStateMap(f.phix, f.phiu, self.traj.grid)
+
+    @cached_property
+    def c1_vectors(self) -> list:
+        """Exact Riesz vectors of the c1 functionals against nodal controls,
+        under x = S u: c1_j(u) = <b_j, u> (flat Euclidean dot)."""
+        f = self.fields
+        return [
             self.linmap.apply_transpose(f.w[:, None] * f.Lx[j]) + f.w[:, None] * f.Lu[j]
-            for j in range(problem.m)
+            for j in range(self.problem.m)
         ]
-        self.gu_sq = np.einsum("kl,kl->k", f.gu, f.gu)
 
     def active_mask(self, eps_act: float) -> np.ndarray:
         return self.fields.g >= -eps_act
@@ -474,6 +485,8 @@ def worst_critical_direction(
     random controls.  The result is a witness (best found), not a global
     minimum; callers embed that caveat in their verdicts.
     """
+    if n_restarts < 1:
+        raise ValueError("n_restarts must be at least 1")
     ws = workspace if workspace is not None else SecondOrderWorkspace(problem, traj)
     search = _CurvatureSearch(ws, triple, eps_act, tol)
     rng = np.random.default_rng(seed)
@@ -481,7 +494,7 @@ def worst_critical_direction(
     best = None
     values = []
     all_converged = True
-    for _ in range(max(1, n_restarts)):
+    for _ in range(n_restarts):
         u0 = rng.standard_normal((k, problem.l))
         out = search.minimize(u0, max_iters)
         if out is None:
@@ -575,16 +588,14 @@ def socn_verdict(
     eps_act: float = 1e-8,
     tolerances: Tolerances | None = None,
     workspace: SecondOrderWorkspace | None = None,
-    kkt_workspace: KktWorkspace | None = None,
 ) -> SocnFragment:
     """For each critical direction, look for a weight whose recovered triple
     has nonnegative curvature; report the first direction where none exists.
     """
     ws = workspace if workspace is not None else SecondOrderWorkspace(problem, traj)
-    kws = kkt_workspace if kkt_workspace is not None else KktWorkspace(
-        problem, traj, fields=ws.fields)
     tols = tolerances if tolerances is not None else Tolerances()
     weights = unit_weight_grid(problem.m, lambda_points)
+    solved = {}  # weight index -> (p, theta, report)
     skipped = []
     results = []
     verdict = "holds"
@@ -602,8 +613,10 @@ def socn_verdict(
         q_by_weight = []
         found = None
         kkt_valid = 0
-        for lam in weights:
-            p, theta, report = kws.solve(lam, tols)
+        for i, lam in enumerate(weights):
+            if i not in solved:
+                solved[i] = ws.kkt.solve(lam, tols)
+            p, theta, report = solved[i]
             if not report.passed:
                 q_by_weight.append({"lambda": [float(v) for v in lam],
                                     "kkt_passed": False})
@@ -698,9 +711,8 @@ def socs_verdict(
     """Sufficient-condition pipeline at one multiplier triple."""
     ws = workspace if workspace is not None else SecondOrderWorkspace(problem, traj)
     tols = tolerances if tolerances is not None else Tolerances()
-    kws = KktWorkspace(problem, traj, fields=ws.fields)
-    kkt_report = kws.residuals(triple.lam, np.asarray(triple.p),
-                               np.asarray(triple.theta), tols)
+    kkt_report = ws.kkt.residuals(triple.lam, np.asarray(triple.p),
+                                  np.asarray(triple.theta), tols)
     if not kkt_report.passed:
         return SocsFragment("fail", "kkt", kkt_report.to_dict(), None, None,
                             _SOCS_CAVEAT, tol)

@@ -29,7 +29,6 @@ __all__ = [
     "GridMismatchError",
     "quadrature",
     "quad_weights",
-    "max_norm",
     "l2_norm",
     "integrate_state",
     "state_residual",
@@ -123,10 +122,6 @@ def quadrature(samples, grid: Grid) -> float:
     return float(quad_weights(grid) @ samples)
 
 
-def max_norm(samples) -> float:
-    return float(np.max(np.abs(samples)))
-
-
 def l2_norm(samples, grid: Grid) -> float:
     """Trapezoid L2 norm of per-node (vector) samples."""
     samples = np.asarray(samples, dtype=float)
@@ -180,7 +175,10 @@ def _phi_nodes(problem: Problem, traj: Trajectory) -> np.ndarray:
 
 def state_residual(problem: Problem, traj: Trajectory) -> float:
     """Max-norm defect of x(t_i) = x0 + integral of phi, trapezoid quadrature."""
-    f = _phi_nodes(problem, traj)
+    return _state_defect(problem, traj, _phi_nodes(problem, traj))
+
+
+def _state_defect(problem: Problem, traj: Trajectory, f: np.ndarray) -> float:
     c = np.zeros_like(f)
     c[1:] = np.cumsum(0.5 * traj.grid.h * (f[:-1] + f[1:]), axis=0)
     return float(np.max(np.abs(traj.x - problem.x0 - c)))
@@ -278,11 +276,6 @@ class LinearStateMap:
         self.gamma1 = np.einsum("kij,kjl->kil", 0.5 * pm + pe, be)
         self._scan = _AffineScan(self.phi)
 
-    @classmethod
-    def from_problem(cls, problem: Problem, traj: Trajectory) -> "LinearStateMap":
-        A, B = dynamics_jacobians(problem, traj)
-        return cls(A, B, traj.grid)
-
     def apply(self, u: np.ndarray) -> np.ndarray:
         """State response x (N+1, n) to nodal controls u (N+1, l)."""
         d = np.einsum("kij,kj->ki", self.gamma0, u[:-1]) + np.einsum(
@@ -358,7 +351,7 @@ def linearized_state(problem: Problem, traj: Trajectory, u_dir: np.ndarray) -> n
     k = traj.grid.n_intervals + 1
     if u_dir.shape != (k, problem.l):
         raise GridMismatchError(f"direction shape {u_dir.shape} != {(k, problem.l)}")
-    return LinearStateMap.from_problem(problem, traj).apply(u_dir)
+    return LinearStateMap(*dynamics_jacobians(problem, traj), traj.grid).apply(u_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +367,6 @@ class TrajectoryFields:
     """
 
     grid: Grid
-    t: np.ndarray  # (K,)
     w: np.ndarray  # (K,) trapezoid weights
     L: np.ndarray  # (m, K)
     Lx: np.ndarray  # (m, K, n)
@@ -388,15 +380,19 @@ class TrajectoryFields:
     gx: np.ndarray  # (K, n)
     gu: np.ndarray  # (K, l)
     ghess: np.ndarray  # (K, nl, nl)
+    state_residual: float  # state_residual(problem, traj), from phi above
 
 
 def build_fields(problem: Problem, traj: Trajectory) -> TrajectoryFields:
-    n, l, m = problem.n, problem.l, problem.m
-    nl = n + l
+    n = problem.n
+    nl = n + problem.l
     k = traj.grid.n_intervals + 1
 
     def values(ast):
         return node_values(problem, ast, traj)
+
+    def grads(table, part):  # (K, len(part)) partials in the stacked variables
+        return np.stack([values(a) for a in table.grad[part]], axis=1)
 
     def hess_block(table):
         out = np.empty((k, nl, nl))
@@ -406,13 +402,8 @@ def build_fields(problem: Problem, traj: Trajectory) -> TrajectoryFields:
         return out
 
     L = np.stack([values(a) for a in problem.L])
-    Lx = np.empty((m, k, n))
-    Lu = np.empty((m, k, l))
-    for j, table in enumerate(problem.L_derivs):
-        for i in range(n):
-            Lx[j, :, i] = values(table.grad[i])
-        for i in range(l):
-            Lu[j, :, i] = values(table.grad[n + i])
+    Lx = np.stack([grads(t, np.s_[:n]) for t in problem.L_derivs])
+    Lu = np.stack([grads(t, np.s_[n:]) for t in problem.L_derivs])
     Lhess = np.stack([hess_block(t) for t in problem.L_derivs])
 
     phi = _phi_nodes(problem, traj)
@@ -420,8 +411,8 @@ def build_fields(problem: Problem, traj: Trajectory) -> TrajectoryFields:
     phihess = np.stack([hess_block(t) for t in problem.phi_derivs])
 
     g = values(problem.g)
-    gx = np.stack([values(problem.g_derivs.grad[i]) for i in range(n)], axis=1)
-    gu = np.stack([values(problem.g_derivs.grad[n + i]) for i in range(l)], axis=1)
+    gx = grads(problem.g_derivs, np.s_[:n])
+    gu = grads(problem.g_derivs, np.s_[n:])
     ghess = hess_block(problem.g_derivs)
 
     for label, arr in (("L", L), ("L gradients", Lx), ("dynamics jacobian", phix),
@@ -432,7 +423,6 @@ def build_fields(problem: Problem, traj: Trajectory) -> TrajectoryFields:
 
     return TrajectoryFields(
         grid=traj.grid,
-        t=traj.grid.nodes,
         w=quad_weights(traj.grid),
         L=L,
         Lx=Lx,
@@ -446,4 +436,5 @@ def build_fields(problem: Problem, traj: Trajectory) -> TrajectoryFields:
         gx=gx,
         gu=gu,
         ghess=ghess,
+        state_residual=_state_defect(problem, traj, phi),
     )

@@ -7,8 +7,10 @@ import sys
 import numpy as np
 import pytest
 
+from paretocert import expr, trajectory
 from paretocert.certificate import recompute_overall_verdict
 from paretocert.cli import main
+from paretocert.kkt import KktWorkspace
 from paretocert.problem import builtin
 from paretocert.trajectory import Grid, integrate_state
 
@@ -77,6 +79,27 @@ class TestCheckKkt:
         assert "example_6_1" in err
 
 
+class TestDocumentColumns:
+    """Trajectory and direction documents must match the problem's n and l."""
+
+    @pytest.mark.parametrize("x_cols, u_cols, command, field", [
+        (1, 2, "--traj", "'x'"),  # too few state columns
+        (3, 2, "--traj", "'x'"),  # too many state columns
+        (2, 1, "--directions", "'u'"),  # too few control columns
+    ], ids=["traj-few-x", "traj-many-x", "directions-few-u"])
+    def test_column_mismatch_is_input_error(self, capsys, tmp_path,
+                                            x_cols, u_cols, command, field):
+        doc = {"grid_n": 100, "x": np.zeros((101, x_cols)).tolist(),
+               "u": np.zeros((101, u_cols)).tolist()}
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        argv = ["check-socn", "builtin:example_6_1", "--grid", "100", command, str(path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert str(path) in err and field in err
+
+
 class TestCheckSocn:
     def test_indefinite_example_direction_file(self, capsys, tmp_path):
         t = Grid(300).nodes
@@ -101,6 +124,13 @@ class TestCheckSocn:
         cert = load_cert(out)
         assert cert["overall_verdict"] == "socn-pass"
         assert cert["fragments"]["socn"]["tested"] == 10
+
+    def test_zero_probes_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "check-socn", "builtin:example_6_1",
+                                 "--grid", "60", "--probes", "0")
+        assert code == 1
+        assert out == ""
+        assert "--probes" in err
 
     def test_non_critical_direction_skipped(self, capsys, tmp_path):
         doc = {"grid_n": 100, "x": np.ones((101, 2)).tolist(),
@@ -138,6 +168,14 @@ class TestCheckSocs:
         code, _, err = run_cli(capsys, "check-socs", "builtin:example_6_1",
                                "--lambda", "0.5,0.5", "--gamma0", "0")
         assert code == 1
+
+    def test_zero_probes_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "check-socs", "builtin:example_6_1",
+                                 "--lambda", "0.5,0.5", "--gamma0", "1",
+                                 "--grid", "60", "--probes", "0")
+        assert code == 1
+        assert out == ""
+        assert "--probes" in err
 
 
 class TestFindim:
@@ -263,6 +301,97 @@ class TestCertificateProperties:
         _, out, _ = run_cli(capsys, "check-kkt", "builtin:example_6_1",
                             "--lambda", "0.5,0.5", "--grid", "60", "--seed", "99")
         assert load_cert(out)["seed"] == 99
+
+
+class TestConstructionContract:
+    """Each request builds one field table and one backward map, and only the
+    maps its command uses; a problem file's expressions are parsed once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"build_fields": 0, "BackwardLinearMap": 0, "LinearStateMap": 0,
+                 "apply_transpose": 0, "parse": 0, "solve": []}
+
+        def count(owner, name, key, record=None):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                if record is None:
+                    calls[key] += 1
+                else:
+                    calls[key].append(record(*args, **kwargs))
+                return original(*args, **kwargs)
+
+            if isinstance(owner, type):
+                monkeypatch.setattr(owner, name, counted)
+                return
+            # rebind every copy made by "from .module import name"
+            for module in list(sys.modules.values()):
+                if not getattr(module, "__name__", "").startswith("paretocert"):
+                    continue
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+
+        count(trajectory, "build_fields", "build_fields")
+        count(trajectory.BackwardLinearMap, "__init__", "BackwardLinearMap")
+        count(trajectory.LinearStateMap, "__init__", "LinearStateMap")
+        count(trajectory.LinearStateMap, "apply_transpose", "apply_transpose")
+        count(expr, "parse", "parse")
+        count(KktWorkspace, "solve", "solve",
+              record=lambda ws, lam, *a, **k: tuple(float(v) for v in lam))
+        return calls
+
+    @pytest.fixture
+    def files(self, tmp_path, findim_fixture_file):
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps({
+            "n": 2, "l": 2, "m": 2, "x0": [0.0, 0.0],
+            "L": ["x1^2 + u1^2", "x2^2 + u2^2"], "phi": ["u1", "u2"],
+            "g": "x1 + x2 - u1 - u2"}))
+        t = Grid(100).nodes
+        direction = tmp_path / "ramp.json"
+        direction.write_text(json.dumps({
+            "grid_n": 100, "x": np.stack([t, -t], axis=1).tolist(),
+            "u": np.tile([1.0, -1.0], (101, 1)).tolist()}))
+        return {"problem": str(problem), "direction": str(direction),
+                "findim": findim_fixture_file}
+
+    PARSES = 5  # two costs, two dynamics, one constraint
+    CASES = {
+        "check-kkt": (["check-kkt", "{problem}", "--lambda", "0.5,0.5", "--grid", "100"],
+                      dict(build_fields=1, BackwardLinearMap=1, LinearStateMap=0,
+                           apply_transpose=0, parse=PARSES)),
+        "check-socn-probes": (["check-socn", "{problem}", "--grid", "100", "--probes", "3"],
+                              dict(build_fields=1, BackwardLinearMap=1, LinearStateMap=1,
+                                   parse=PARSES)),
+        "check-socn-directions": (["check-socn", "{problem}", "--grid", "100",
+                                   "--directions", "{direction}"],
+                                  dict(build_fields=1, BackwardLinearMap=1,
+                                       LinearStateMap=1, apply_transpose=0,
+                                       parse=PARSES)),
+        "check-socs": (["check-socs", "{problem}", "--lambda", "0.5,0.5", "--gamma0", "1",
+                        "--grid", "100", "--probes", "2", "--max-iters", "5"],
+                       dict(build_fields=1, BackwardLinearMap=1, LinearStateMap=1,
+                            parse=PARSES)),
+        "findim": (["findim", "{findim}", "--zbar", "0,0", "--steps", "4"],
+                   dict(build_fields=0, BackwardLinearMap=0, LinearStateMap=0,
+                        parse=0)),
+        "integrate": (["integrate", "{problem}", "--grid", "20"],
+                      dict(build_fields=0, BackwardLinearMap=0, LinearStateMap=0,
+                           parse=PARSES)),
+        "show-builtin": (["show-builtin", "example_6_1"],
+                         dict(build_fields=0, BackwardLinearMap=0, LinearStateMap=0)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_builds_per_request(self, capsys, calls, files, case):
+        argv, expected = self.CASES[case]
+        code, _, err = run_cli(capsys, *(a.format(**files) for a in argv))
+        assert code == 0, err
+        assert {key: calls[key] for key in expected} == expected
+        # each weight's multipliers are solved at most once per request
+        assert len(calls["solve"]) == len(set(calls["solve"]))
 
 
 class TestSubprocessEntry:

@@ -228,6 +228,13 @@ class TestWorstDirection:
         result = worst_critical_direction(p, traj, triple, n_restarts=5, seed=2)
         assert all(v > 0 for v in result.restart_values)
 
+    def test_no_restarts_is_rejected(self):
+        p = builtin("example_6_1")
+        traj = zero_traj(p, 20)
+        triple = zero_triple(p, traj.grid, (0.5, 0.5))
+        with pytest.raises(ValueError, match="n_restarts"):
+            worst_critical_direction(p, traj, triple, n_restarts=0)
+
     def test_matches_dense_eigensolve_on_coarse_grid(self):
         # unconstrained-at-origin convex fixture; oracle assembles the reduced
         # Hessian column by column through the public linearized-state map and
