@@ -197,18 +197,21 @@ def _cmd_check_socn(args) -> int:
     problem = _load_problem_arg(args.problem)
     if args.probes < 1:
         raise _UsageError("--probes must be at least 1")
+    if args.lambda_grid < 1:
+        raise _UsageError("--lambda-grid must be at least 1")
+    params = {"lambda_grid": args.lambda_grid}
+    directions = None
+    if args.directions is not None:
+        directions = _load_directions(args.directions)
+        for i, direction in enumerate(directions):
+            _check_columns(f"{args.directions}: direction {i}", direction, problem)
+        params["directions_path"] = args.directions
     traj = _load_trajectory(args, problem)
     tols = Tolerances.uniform(args.tol)
     ws = SecondOrderWorkspace(problem, traj)
     fragments = _gate_fragments(ws.kkt, tols)
-    params = {"lambda_grid": args.lambda_grid}
     if fragments["feasibility"]["passed"] and fragments["h2"]["passed"]:
-        if args.directions is not None:
-            directions = _load_directions(args.directions)
-            for i, direction in enumerate(directions):
-                _check_columns(f"{args.directions}: direction {i}", direction, problem)
-            params["directions_path"] = args.directions
-        else:
+        if directions is None:
             directions = random_critical_directions(
                 problem, traj, args.probes, seed=args.seed,
                 eps_act=args.eps_act, tol=args.tol, workspace=ws)
@@ -258,6 +261,12 @@ def _cmd_check_socs(args) -> int:
 
 def _cmd_findim(args) -> int:
     started = time.perf_counter()
+    if args.steps < 3:
+        raise _UsageError("--steps must be at least 3")
+    if not args.radius > 0:
+        raise _UsageError("--radius must be a positive number")
+    if args.lambda_grid < 1:
+        raise _UsageError("--lambda-grid must be at least 1")
     try:
         with open(args.problem, "r", encoding="utf-8") as fh:
             problem = load_findim_problem(fh.read())

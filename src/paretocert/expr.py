@@ -47,6 +47,8 @@ __all__ = [
     "evaluate",
     "differentiate",
     "simplify",
+    "DerivTable",
+    "deriv_table",
     "to_source",
     "compile_ast",
 ]
@@ -482,6 +484,26 @@ def simplify(ast: ExprAst) -> ExprAst:
                     return a
             return Bin(op, a, b)
     raise TypeError(f"not an expression node: {ast!r}")
+
+
+@dataclass(frozen=True)
+class DerivTable:
+    """Simplified first and second derivative trees of one expression.
+
+    ``grad[i]`` is d/dv_i expr and ``hess[i][j]`` is d/dv_j (d/dv_i expr),
+    stored for all ordered pairs of ``variables``.
+    """
+
+    variables: tuple[str, ...]
+    grad: tuple[ExprAst, ...]
+    hess: tuple[tuple[ExprAst, ...], ...]
+
+
+def deriv_table(ast: ExprAst, variables: Sequence[str]) -> DerivTable:
+    """Differentiate ``ast`` once and twice with respect to ``variables``."""
+    grad = tuple(simplify(differentiate(ast, v)) for v in variables)
+    hess = tuple(tuple(simplify(differentiate(g, w)) for w in variables) for g in grad)
+    return DerivTable(tuple(variables), grad, hess)
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,16 @@ cone to the nonpositive orthant makes every ingredient finitely checkable:
   Lagrangian curvature along a critical direction;
 * a brute-force neighborhood oracle decides local weak Pareto optimality by
   grid enumeration, usable up to four variables.
+
+Loading builds one derivative table per expression (``expr.deriv_table``,
+as for the control problems).  The oracle evaluates on an open grid, one
+coordinate axis per variable, and broadcasting spans the full grid.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -56,10 +60,15 @@ class NotCriticalError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class FinDimProblem:
+    """min f(z) s.t. G(z) <= 0 over z1..znz.  The derivative tables are built
+    at load; Jacobians and Hessians evaluate their trees at a point."""
+
     nz: int
     m: int
     f: tuple[ex.ExprAst, ...]
     G: tuple[ex.ExprAst, ...]
+    f_derivs: tuple[ex.DerivTable, ...] = field(repr=False)
+    G_derivs: tuple[ex.DerivTable, ...] = field(repr=False)
 
     @property
     def nE(self) -> int:
@@ -69,48 +78,27 @@ class FinDimProblem:
     def variables(self) -> tuple[str, ...]:
         return tuple(f"z{i}" for i in range(1, self.nz + 1))
 
-    def _env(self, z) -> dict:
-        return {name: z[i] for i, name in enumerate(self.variables)}
+    def _values(self, asts, z) -> np.ndarray:
+        env = dict(zip(self.variables, z))
+        return np.array([ex.evaluate(a, env) for a in asts], dtype=float)
 
     def f_value(self, z) -> np.ndarray:
-        env = self._env(z)
-        return np.array([ex.evaluate(a, env) for a in self.f], dtype=float)
+        return self._values(self.f, z)
 
     def g_value(self, z) -> np.ndarray:
-        env = self._env(z)
-        return np.array([ex.evaluate(a, env) for a in self.G], dtype=float)
+        return self._values(self.G, z)
 
     def f_jacobian(self, z) -> np.ndarray:
-        env = self._env(z)
-        return np.array(
-            [[ex.evaluate(ex.differentiate(a, v), env) for v in self.variables]
-             for a in self.f],
-            dtype=float,
-        )
+        return np.array([self._values(t.grad, z) for t in self.f_derivs])
 
     def g_jacobian(self, z) -> np.ndarray:
-        env = self._env(z)
-        return np.array(
-            [[ex.evaluate(ex.differentiate(a, v), env) for v in self.variables]
-             for a in self.G],
-            dtype=float,
-        )
-
-    def _hessian(self, ast, z) -> np.ndarray:
-        env = self._env(z)
-        names = self.variables
-        out = np.empty((self.nz, self.nz))
-        for i, vi in enumerate(names):
-            di = ex.differentiate(ast, vi)
-            for j, vj in enumerate(names):
-                out[i, j] = ex.evaluate(ex.differentiate(di, vj), env)
-        return out
+        return np.array([self._values(t.grad, z) for t in self.G_derivs])
 
     def f_hessians(self, z) -> np.ndarray:
-        return np.stack([self._hessian(a, z) for a in self.f])
+        return np.array([[self._values(row, z) for row in t.hess] for t in self.f_derivs])
 
     def g_hessians(self, z) -> np.ndarray:
-        return np.stack([self._hessian(a, z) for a in self.G])
+        return np.array([[self._values(row, z) for row in t.hess] for t in self.G_derivs])
 
 
 _SCHEMA_FIELDS = {"nz", "m", "f", "G"}
@@ -154,7 +142,12 @@ def load_findim_problem(document) -> FinDimProblem:
                 raise FinDimFormatError(f"{key}[{i}]: {err}") from None
         return tuple(out)
 
-    return FinDimProblem(nz=nz, m=m, f=parse_list("f"), G=parse_list("G"))
+    f, G = parse_list("f"), parse_list("G")
+    return FinDimProblem(
+        nz=nz, m=m, f=f, G=G,
+        f_derivs=tuple(ex.deriv_table(a, variables) for a in f),
+        G_derivs=tuple(ex.deriv_table(a, variables) for a in G),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +321,8 @@ def weak_pareto_oracle(
 
     Scans the uniform grid of (2*steps+1)^nz points in the inf-ball of the
     given radius; returns False iff some feasible grid point strictly
-    improves every objective by more than 1e-12.
+    improves every objective by more than 1e-12.  A domain error at any grid
+    point raises ``expr.EvalDomainError``.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -338,9 +332,9 @@ def weak_pareto_oracle(
         raise ValueError("oracle limited to nz <= 4 (grid blowup)")
     zbar = np.asarray(zbar, dtype=float)
     offsets = np.linspace(-radius, radius, 2 * steps + 1)
-    axes = np.meshgrid(*[zbar[i] + offsets for i in range(problem.nz)], indexing="ij")
-    env = {name: axes[i].ravel() for i, name in enumerate(problem.variables)}
-    feasible = np.ones(axes[0].size, dtype=bool)
+    axes = np.ix_(*[zbar[i] + offsets for i in range(problem.nz)])
+    env = dict(zip(problem.variables, axes))
+    feasible = np.ones((len(offsets),) * problem.nz, dtype=bool)
     for a in problem.G:
         feasible &= np.asarray(ex.evaluate(a, env)) <= feas_tol
     if not np.any(feasible):

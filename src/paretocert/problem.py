@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
@@ -30,7 +30,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "Problem",
-    "DerivTable",
     "H2Report",
     "ProblemFormatError",
     "UnknownBuiltinError",
@@ -50,27 +49,6 @@ class UnknownBuiltinError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class DerivTable:
-    """Cached derivative trees of one expression w.r.t. (x1..xn, u1..ul).
-
-    ``grad[i]`` and ``hess[i][j]`` are simplified ASTs; ``hess[i][j]`` is
-    d/dv_j (d/dv_i expr), stored for all ordered pairs.
-    """
-
-    variables: tuple[str, ...]
-    grad: tuple[ex.ExprAst, ...]
-    hess: tuple[tuple[ex.ExprAst, ...], ...]
-
-
-def _build_deriv_table(ast: ex.ExprAst, variables: Sequence[str]) -> DerivTable:
-    grad = tuple(ex.simplify(ex.differentiate(ast, v)) for v in variables)
-    hess = tuple(
-        tuple(ex.simplify(ex.differentiate(g, w)) for w in variables) for g in grad
-    )
-    return DerivTable(tuple(variables), grad, hess)
-
-
 @dataclass(frozen=True, eq=False)
 class Problem:
     n: int
@@ -81,9 +59,9 @@ class Problem:
     phi: tuple[ex.ExprAst, ...]
     g: ex.ExprAst
     name: str | None = None
-    L_derivs: tuple[DerivTable, ...] = field(repr=False, default=())
-    phi_derivs: tuple[DerivTable, ...] = field(repr=False, default=())
-    g_derivs: DerivTable | None = field(repr=False, default=None)
+    L_derivs: tuple[ex.DerivTable, ...] = field(repr=False, default=())
+    phi_derivs: tuple[ex.DerivTable, ...] = field(repr=False, default=())
+    g_derivs: ex.DerivTable | None = field(repr=False, default=None)
     _compiled: dict = field(repr=False, default_factory=dict, compare=False)
 
     @property
@@ -141,9 +119,9 @@ def _make_problem(n, l, m, x0, L_sources, phi_sources, g_source, name=None) -> P
         phi=phi,
         g=g,
         name=name,
-        L_derivs=tuple(_build_deriv_table(a, xu) for a in L),
-        phi_derivs=tuple(_build_deriv_table(a, xu) for a in phi),
-        g_derivs=_build_deriv_table(g, xu),
+        L_derivs=tuple(ex.deriv_table(a, xu) for a in L),
+        phi_derivs=tuple(ex.deriv_table(a, xu) for a in phi),
+        g_derivs=ex.deriv_table(g, xu),
     )
 
 

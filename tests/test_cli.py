@@ -132,6 +132,42 @@ class TestCheckSocn:
         assert out == ""
         assert "--probes" in err
 
+    def test_zero_lambda_grid_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "check-socn", "builtin:example_6_1",
+                                 "--grid", "60", "--probes", "2", "--lambda-grid", "0")
+        assert code == 1
+        assert out == ""
+        assert "--lambda-grid" in err
+
+    @pytest.fixture
+    def infeasible_traj(self, tmp_path):
+        traj = integrate_state(builtin("example_6_1"), np.zeros((61, 2)), Grid(60))
+        x = traj.x.copy()
+        x[30, 0] += 0.5  # breaks the state equation, so the gates fail
+        path = tmp_path / "bad_traj.json"
+        path.write_text(json.dumps({"grid_n": 60, "x": x.tolist(), "u": traj.u.tolist()}))
+        return str(path)
+
+    def test_missing_directions_file_is_input_error_before_gates(self, capsys,
+                                                                 infeasible_traj):
+        code, out, err = run_cli(capsys, "check-socn", "builtin:example_6_1",
+                                 "--traj", infeasible_traj,
+                                 "--directions", "/nonexistent/dirs.json")
+        assert code == 1
+        assert out == ""
+        assert "cannot read directions file" in err
+
+    def test_directions_path_recorded_when_gated(self, capsys, tmp_path, infeasible_traj):
+        path = tmp_path / "dirs.json"
+        path.write_text(json.dumps({"grid_n": 60, "x": np.zeros((61, 2)).tolist(),
+                                    "u": np.ones((61, 2)).tolist()}))
+        code, out, _ = run_cli(capsys, "check-socn", "builtin:example_6_1",
+                               "--traj", infeasible_traj, "--directions", str(path))
+        assert code == 2
+        cert = load_cert(out)
+        assert cert["fragments"]["socn"]["verdict"] == "gated"
+        assert cert["parameters"]["directions_path"] == str(path)
+
     def test_non_critical_direction_skipped(self, capsys, tmp_path):
         doc = {"grid_n": 100, "x": np.ones((101, 2)).tolist(),
                "u": np.zeros((101, 2)).tolist()}
@@ -231,6 +267,37 @@ class TestFindim:
         assert "nz <= 4" in err
 
 
+    @pytest.mark.parametrize("flag", ["--steps=0", "--radius=-1", "--lambda-grid=0"])
+    def test_invalid_oracle_or_grid_flag_is_usage_error(self, capsys, tmp_path,
+                                                        findim_fixture_file, flag):
+        # rejected before any work, whether or not the regularity gate passes
+        gated = tmp_path / "cq_fail.json"
+        gated.write_text(json.dumps({"nz": 2, "m": 1, "f": ["z1^2 + z2^2"],
+                                     "G": ["z1", "-z1"]}))
+        for path, zbar in ((str(gated), "0,0.5"), (findim_fixture_file, "0,0")):
+            code, out, err = run_cli(capsys, "findim", path, "--zbar", zbar, flag)
+            assert code == 1
+            assert out == ""
+            assert flag.split("=")[0] in err
+
+    @pytest.mark.parametrize("doc, zbar, message", [
+        # G is evaluated at zbar by the regularity check
+        ({"nz": 2, "m": 1, "f": ["z1^2 + z2^2"], "G": ["1 / z1"]}, "0,0",
+         "division by zero in '1 / z1'"),
+        # finite at zbar, non-positive only on the oracle grid (z3 <= -2)
+        ({"nz": 3, "m": 1, "f": ["z1^2 + z2^2 + log(z3 + 2)"], "G": ["z1 + z2 - 1"]},
+         "0,0,-1.8", "log of non-positive value in 'log(z3 + 2)'"),
+    ], ids=["at-zbar", "on-oracle-grid"])
+    def test_domain_error_is_input_error(self, capsys, tmp_path, doc, zbar, message):
+        path = tmp_path / "domain.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "findim", str(path), f"--zbar={zbar}",
+                                 "--radius", "0.25", "--steps", "4")
+        assert code == 1
+        assert out == ""
+        assert message in err
+
+
 class TestOtherCommands:
     def test_integrate_outputs_trajectory(self, capsys, tmp_path):
         control = {"grid_n": 50, "u": np.ones((51, 2)).tolist()}
@@ -310,7 +377,7 @@ class TestConstructionContract:
     @pytest.fixture
     def calls(self, monkeypatch):
         calls = {"build_fields": 0, "BackwardLinearMap": 0, "LinearStateMap": 0,
-                 "apply_transpose": 0, "parse": 0, "solve": []}
+                 "apply_transpose": 0, "parse": 0, "differentiate": 0, "solve": []}
 
         def count(owner, name, key, record=None):
             original = getattr(owner, name)
@@ -338,6 +405,7 @@ class TestConstructionContract:
         count(trajectory.LinearStateMap, "__init__", "LinearStateMap")
         count(trajectory.LinearStateMap, "apply_transpose", "apply_transpose")
         count(expr, "parse", "parse")
+        count(expr, "differentiate", "differentiate")
         count(KktWorkspace, "solve", "solve",
               record=lambda ws, lam, *a, **k: tuple(float(v) for v in lam))
         return calls
@@ -392,6 +460,18 @@ class TestConstructionContract:
         assert {key: calls[key] for key in expected} == expected
         # each weight's multipliers are solved at most once per request
         assert len(calls["solve"]) == len(set(calls["solve"]))
+
+
+    def test_findim_differentiates_at_load_only(self, capsys, calls, files):
+        counts = []
+        for dirs in (["0,1"], ["0,1", "0,-1", "1,0"]):
+            calls["differentiate"] = 0
+            argv = ["findim", files["findim"], "--zbar", "0,0", "--steps", "4"]
+            code, out, err = run_cli(capsys, *argv, *(f"--dir={d}" for d in dirs))
+            assert code == 0, err
+            assert all(e["critical"] for e in load_cert(out)["fragments"]["directions"])
+            counts.append(calls["differentiate"])
+        assert counts[0] == counts[1] > 0
 
 
 class TestSubprocessEntry:

@@ -1,8 +1,12 @@
 """Finite-dimensional analyzer: regularity, multipliers, curvature, oracle."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from paretocert import expr as ex
 from paretocert.findim import (
     FinDimFormatError,
     InfeasiblePointError,
@@ -81,6 +85,73 @@ class TestLoader:
     def test_expression_error_path(self):
         with pytest.raises(FinDimFormatError, match=r"G\[0\]"):
             load_findim_problem({"nz": 1, "m": 1, "f": ["z1"], "G": ["z2"]})
+
+
+# Programs beyond the fixtures, for nz = 1, 2, 3: expressions that use only
+# some of the variables, a constant constraint and a constant objective.
+EXTRA_PROGRAMS = {
+    "one_var": ({"nz": 1, "m": 2, "f": ["z1^2", "(z1 - 1)^2 - 0.5"], "G": ["z1 - 1"]},
+                (-0.5,)),
+    "one_var_constant_f": ({"nz": 1, "m": 2, "f": ["z1^3 - z1", "2"], "G": ["0 - 1"]},
+                           (0.0,)),
+    "mixed_product": ({"nz": 2, "m": 2, "f": ["z1 * sin(z2)", "exp(z1) - z2^2"],
+                       "G": ["z1^2 + z2^2 - 1", "cos(z1) * z2 - 0.5"]}, (0.1, -0.3)),
+    "three_var_partial": ({"nz": 3, "m": 3,
+                           "f": ["z1^2 - z3", "z2 * z3 + z1", "(z2 - 0.1)^2 - z3^2"],
+                           "G": ["z1 + z2 - 1", "0 - 1", "-z3 - 0.2"]}, (0.0, 0.0, 0.0)),
+    "three_var_opposed": ({"nz": 3, "m": 2, "f": ["z1^2 + z2", "z3^2 - z2"],
+                           "G": ["z1 - 2", "-z3 - 1"]}, (0.0, 0.0, 0.0)),
+    "three_var_log": ({"nz": 3, "m": 2, "f": ["log(z3 + 2) * z1 - z2", "z1^2 / (1 + z2^2)"],
+                       "G": ["z1 * z2 * z3 - 0.1"]}, (0.05, 0.0, -0.1)),
+}
+
+# The quad4_pass program of the findim benchmark workload, unrescaled.
+QUAD4 = {"nz": 4, "m": 3,
+         "f": ["z1^2 + z2^2 + z3^2 + z4^2", "(z1 - 1)^2 + z2^2 + z3^2 + z4^2",
+               "z1^2 + z2^2 + (z3 + 1)^2 + z4^2"],
+         "G": ["z1 + z2 + z3 + z4 - 1", "-z4"]}
+
+
+def all_programs():
+    for name, data in FIXTURES.items():
+        yield name, load_findim_problem(data["doc"]), np.asarray(data["zbar"])
+    for name, (doc, zbar) in EXTRA_PROGRAMS.items():
+        yield name, load_findim_problem(doc), np.asarray(zbar)
+
+
+class TestDerivativeTables:
+    """Jacobians and Hessians read from the load-time tables equal fresh
+    symbolic derivatives of the parsed expressions."""
+
+    def test_tables_match_fresh_differentiation(self):
+        rng = np.random.default_rng(5)
+        for name, p, _ in all_programs():
+            for _ in range(5):
+                z = rng.uniform(-0.9, 0.9, p.nz)
+                env = dict(zip(p.variables, z))
+                for asts, jac, hess in ((p.f, p.f_jacobian(z), p.f_hessians(z)),
+                                        (p.G, p.g_jacobian(z), p.g_hessians(z))):
+                    assert jac.shape == (len(asts), p.nz), name
+                    assert hess.shape == (len(asts), p.nz, p.nz), name
+                    for k, a in enumerate(asts):
+                        for i, vi in enumerate(p.variables):
+                            di = ex.differentiate(a, vi)
+                            ref = ex.evaluate(di, env)
+                            assert jac[k, i] == pytest.approx(ref, rel=1e-12, abs=1e-300)
+                            for j, vj in enumerate(p.variables):
+                                ref = ex.evaluate(ex.differentiate(di, vj), env)
+                                assert hess[k, i, j] == pytest.approx(
+                                    ref, rel=1e-12, abs=1e-300), (name, k, i, j)
+
+    def test_index_order_of_mixed_terms(self):
+        # f = z1 sin(z2): grad = (sin z2, z1 cos z2), d2f/dz2^2 = -z1 sin z2
+        p = load_findim_problem({"nz": 2, "m": 1, "f": ["z1 * sin(z2)"], "G": ["z1 - 5"]})
+        z = np.array([0.7, 0.3])
+        np.testing.assert_allclose(p.f_jacobian(z), [[np.sin(0.3), 0.7 * np.cos(0.3)]],
+                                   rtol=1e-12)
+        np.testing.assert_allclose(
+            p.f_hessians(z), [[[0.0, np.cos(0.3)], [np.cos(0.3), -0.7 * np.sin(0.3)]]],
+            rtol=1e-12)
 
 
 class TestRobinson:
@@ -215,6 +286,48 @@ class TestWeakParetoOracle:
             {"nz": 5, "m": 1, "f": ["z1"], "G": ["z1 + z2 + z3 + z4 + z5"]})
         with pytest.raises(ValueError):
             weak_pareto_oracle(big, np.zeros(5), radius=0.5, steps=3)
+
+
+    @staticmethod
+    def reference(p, z, radius, steps, feas_tol=1e-12):
+        """Point-by-point scan of the same grid through f_value/g_value."""
+        offsets = np.linspace(-radius, radius, 2 * steps + 1)
+        f_ref = p.f_value(z)
+        for point in itertools.product(*[z[i] + offsets for i in range(p.nz)]):
+            point = np.array(point)
+            if (np.all(p.g_value(point) <= feas_tol)
+                    and np.all(p.f_value(point) < f_ref - 1e-12)):
+                return False
+        return True
+
+    def test_matches_point_by_point_reference(self):
+        outcomes = set()
+        for name, p, z in all_programs():
+            for radius, steps in ((0.05, 3), (0.3, 4), (0.5, 5)):
+                got = weak_pareto_oracle(p, z, radius=radius, steps=steps)
+                assert got is self.reference(p, z, radius, steps), (name, radius, steps)
+                outcomes.add((p.nz, got))
+        # every dimension sees both verdicts, so agreement is not vacuous
+        assert outcomes == {(nz, v) for nz in (1, 2, 3) for v in (True, False)}
+
+    def test_domain_error_anywhere_on_grid(self):
+        p = load_findim_problem({"nz": 2, "m": 1, "f": ["z1 + log(z2)"], "G": ["z1 - 1"]})
+        assert weak_pareto_oracle(p, (0.0, 0.5), radius=0.25, steps=4) is False
+        with pytest.raises(ex.EvalDomainError, match="log of non-positive value"):
+            weak_pareto_oracle(p, (0.0, 0.2), radius=0.25, steps=4)
+
+    def test_peak_memory_below_coordinate_grid(self):
+        # the open grid never holds nz full coordinate arrays at once
+        p = load_findim_problem(QUAD4)
+        steps = 12
+        bound = p.nz * (2 * steps + 1) ** p.nz * 8
+        tracemalloc.start()
+        try:
+            assert weak_pareto_oracle(p, np.zeros(4), radius=0.4, steps=steps) is True
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (peak, bound)
 
 
 class TestSoundnessLink:
