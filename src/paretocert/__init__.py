@@ -25,12 +25,9 @@ from .findim import (
 )
 from .kkt import (
     KktReport,
+    KktWorkspace,
     MultiplierTriple,
     Tolerances,
-    kkt_residuals,
-    recover_theta,
-    solve_adjoint,
-    solve_kkt_system,
 )
 from .problem import (
     H2Report,
@@ -44,9 +41,8 @@ from .problem import (
 from .second_order import (
     ConeMembership,
     CurvatureReport,
+    SecondOrderWorkspace,
     coercivity_check,
-    is_critical,
-    quadratic_form,
     random_critical_directions,
     socn_verdict,
     socs_verdict,

@@ -13,6 +13,8 @@ import json
 
 import numpy as np
 
+from . import expr as ex
+from .findim import FinDimProblem
 from .problem import Problem, serialize
 
 __all__ = [
@@ -20,6 +22,7 @@ __all__ = [
     "TOOL_VERSION",
     "jsonable",
     "problem_hash",
+    "findim_hash",
     "decide_verdict",
     "assemble",
     "recompute_overall_verdict",
@@ -54,9 +57,20 @@ def jsonable(obj):
     return obj
 
 
-def problem_hash(problem: Problem) -> str:
-    canonical = json.dumps(serialize(problem), sort_keys=True, separators=(",", ":"))
+def _digest(document: dict) -> str:
+    canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def problem_hash(problem: Problem) -> str:
+    return _digest(serialize(problem))
+
+
+def findim_hash(problem: FinDimProblem) -> str:
+    """SHA-256 of the canonical findim document {nz, m, f, G}."""
+    return _digest({"nz": problem.nz, "m": problem.m,
+                    "f": [ex.to_source(a) for a in problem.f],
+                    "G": [ex.to_source(a) for a in problem.G]})
 
 
 def decide_verdict(command: str, fragments: dict) -> str:
@@ -91,9 +105,9 @@ def assemble(
     fragments: dict,
     problem_name: str | None,
     problem_digest: str,
-    grid_n: int,
+    grid_n: int | None,
     tolerances: dict,
-    seed: int,
+    seed: int | None,
     parameters: dict,
     wall_time_s: float,
 ) -> dict:

@@ -3,7 +3,8 @@
 Exit codes: 0 = checks passed, 2 = a check failed and the certificate says
 why, 1 = usage or input error.  Certificates go to stdout (or --out) and are
 byte-deterministic for fixed inputs and --seed, apart from the wall_time_s
-field.
+field; findim draws no random numbers, takes no --seed and records seed and
+grid_n as null.
 """
 
 from __future__ import annotations
@@ -145,15 +146,15 @@ def _emit(args, payload: str) -> None:
             fh.write(payload)
 
 
-def _gate_fragments(kws: KktWorkspace, tols) -> dict:
-    res = kws.fields.state_residual
-    g_max = float(np.max(kws.fields.g))
+def _gate_fragments(ws: KktWorkspace, tols) -> dict:
+    res = ws.fields.state_residual
+    g_max = float(np.max(ws.fields.g))
     feasibility = {
         "state_residual": res,
         "constraint_residual": max(0.0, g_max),
         "passed": bool(res <= tols.state and g_max <= tols.feasibility),
     }
-    return {"feasibility": feasibility, "h2": kws.h2.to_dict()}
+    return {"feasibility": feasibility, "h2": ws.h2.to_dict()}
 
 
 def _finish(args, command, problem, fragments, grid_n, tols, parameters, started):
@@ -183,9 +184,9 @@ def _cmd_check_kkt(args) -> int:
     lam = _lambda_arg(args, problem.m)
     traj = _load_trajectory(args, problem)
     tols = Tolerances.uniform(args.tol)
-    kws = KktWorkspace(problem, traj)
-    fragments = _gate_fragments(kws, tols)
-    _, _, report = kws.solve(lam, tols)
+    ws = KktWorkspace(problem, traj)
+    fragments = _gate_fragments(ws, tols)
+    _, _, report = ws.solve(lam, tols)
     fragments["kkt"] = report.to_dict()
     params = {"lambda": [float(v) for v in lam]}
     return _finish(args, "check-kkt", problem, fragments,
@@ -209,17 +210,16 @@ def _cmd_check_socn(args) -> int:
     traj = _load_trajectory(args, problem)
     tols = Tolerances.uniform(args.tol)
     ws = SecondOrderWorkspace(problem, traj)
-    fragments = _gate_fragments(ws.kkt, tols)
+    fragments = _gate_fragments(ws, tols)
     if fragments["feasibility"]["passed"] and fragments["h2"]["passed"]:
         if directions is None:
             directions = random_critical_directions(
-                problem, traj, args.probes, seed=args.seed,
-                eps_act=args.eps_act, tol=args.tol, workspace=ws)
+                ws, count=args.probes, seed=args.seed,
+                eps_act=args.eps_act, tol=args.tol)
             params["probes"] = args.probes
         frag = socn_verdict(
-            problem, traj, directions,
-            lambda_points=args.lambda_grid, tol=args.tol, eps_act=args.eps_act,
-            tolerances=tols, workspace=ws)
+            ws, directions, lambda_points=args.lambda_grid, tol=args.tol,
+            eps_act=args.eps_act, tolerances=tols)
         fragments["socn"] = frag.to_dict()
     else:
         fragments["socn"] = {"verdict": "gated", "tested": 0, "skipped": [],
@@ -240,16 +240,16 @@ def _cmd_check_socs(args) -> int:
     traj = _load_trajectory(args, problem)
     tols = Tolerances.uniform(args.tol)
     ws = SecondOrderWorkspace(problem, traj)
-    fragments = _gate_fragments(ws.kkt, tols)
+    fragments = _gate_fragments(ws, tols)
     params = {"lambda": [float(v) for v in lam], "gamma0": args.gamma0,
               "probes": args.probes}
     if fragments["feasibility"]["passed"] and fragments["h2"]["passed"]:
-        p, theta, _ = ws.kkt.solve(lam, tols)
+        p, theta, _ = ws.solve(lam, tols)
         triple = MultiplierTriple(lam, p, theta)
         frag = socs_verdict(
-            problem, traj, triple, gamma0=args.gamma0, n_probes=args.probes,
+            ws, triple, gamma0=args.gamma0, n_probes=args.probes,
             max_iters=args.max_iters, tol=args.tol, eps_act=args.eps_act,
-            tolerances=tols, seed=args.seed, workspace=ws)
+            tolerances=tols, seed=args.seed)
         fragments["socs"] = frag.to_dict()
     else:
         fragments["socs"] = {"verdict": "gated", "failed_stage": "gates",
@@ -334,10 +334,10 @@ def _cmd_findim(args) -> int:
         command="findim",
         fragments=fragments,
         problem_name=None,
-        problem_digest="",
-        grid_n=0,
+        problem_digest=cert.findim_hash(problem),
+        grid_n=None,
         tolerances={"tol": args.tol},
-        seed=args.seed,
+        seed=None,
         parameters={"zbar": [float(v) for v in zbar], "radius": args.radius,
                     "steps": args.steps, "lambda_grid": args.lambda_grid},
         wall_time_s=time.perf_counter() - started,
@@ -435,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=12, help="oracle grid steps per side")
     p.add_argument("--lambda-grid", type=int, default=21, dest="lambda_grid")
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_findim)
 

@@ -244,9 +244,12 @@ def multiplier_set_sample(
     For each unit-norm weight, the orthant multipliers on the active rows
     minimize the stationarity residual in the least-squares sense subject to
     e >= 0 (Lawson-Hanson active-set iteration); pairs whose residual exceeds
-    resid_tol are discarded.  An empty list is itself diagnostic.
+    resid_tol are discarded.  An empty list is itself diagnostic.  f is
+    evaluated at zbar first, so a domain error there names f itself rather
+    than one of its derivatives.
     """
     zbar = np.asarray(zbar, dtype=float)
+    problem.f_value(zbar)
     fj = problem.f_jacobian(zbar)
     gj = problem.g_jacobian(zbar)
     g = problem.g_value(zbar)

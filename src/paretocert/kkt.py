@@ -12,10 +12,10 @@ by the constraint-sensitivity check; p and theta are coupled, so the solver
 iterates the pair to a fixed point.  theta lives on grid nodes, the natural
 sampling for the trapezoid quadrature used everywhere else.
 
-The command line builds one KktWorkspace per request (inside the
+The command line builds one KktWorkspace per request (a
 SecondOrderWorkspace for the second-order commands); the gates, every
 weight's solve and every residual report read its field table and backward
-map.  The module-level functions build a fresh workspace per call.
+map.
 """
 
 from __future__ import annotations
@@ -37,10 +37,7 @@ __all__ = [
     "KktReport",
     "Tolerances",
     "H2ViolationError",
-    "solve_adjoint",
-    "recover_theta",
-    "solve_kkt_system",
-    "kkt_residuals",
+    "KktWorkspace",
 ]
 
 
@@ -155,56 +152,6 @@ def _stationarity(fields: TrajectoryFields, lam, p, theta) -> np.ndarray:
     return out
 
 
-def _recover_theta(fields: TrajectoryFields, lam, p, i0: int) -> np.ndarray:
-    gu_i0 = fields.gu[:, i0]
-    if np.min(np.abs(gu_i0)) < 1e-12:
-        raise H2ViolationError(
-            "constraint control-derivative vanishes on the grid; "
-            "theta recovery is ill-posed"
-        )
-    num = np.einsum("j,jk->k", lam, fields.Lu[:, :, i0])
-    num += np.einsum("kn,kn->k", fields.phiu[:, :, i0], p)
-    return -num / gu_i0
-
-
-def _kkt_residuals(
-    fields: TrajectoryFields,
-    backward: BackwardLinearMap,
-    lam: np.ndarray,
-    p: np.ndarray,
-    theta: np.ndarray,
-    tols: Tolerances,
-) -> KktReport:
-    stat = float(np.max(np.abs(_stationarity(fields, lam, p, theta))))
-    adj = backward.defect(_adjoint_source(fields, lam, theta), p)
-    term = float(np.max(np.abs(p[-1])))
-    sign = float(max(0.0, -np.min(theta)))
-    comp = float(np.max(np.abs(theta * fields.g)))
-    feas = float(max(0.0, np.max(fields.g)))
-    passed = (
-        stat <= tols.stationarity
-        and adj <= tols.adjoint
-        and term <= tols.terminal
-        and sign <= tols.sign
-        and comp <= tols.complementarity
-        and feas <= tols.feasibility
-        and fields.state_residual <= tols.state
-    )
-    return KktReport(
-        stationarity_residual=stat,
-        adjoint_residual=adj,
-        terminal_residual=term,
-        theta_sign_violation=sign,
-        complementarity_residual=comp,
-        feasibility_residual=feas,
-        state_residual=fields.state_residual,
-        passed=passed,
-        tolerances=tols,
-        lam=tuple(float(v) for v in lam),
-        grid_n=fields.grid.n_intervals,
-    )
-
-
 class KktWorkspace:
     """Field table, backward map and H2 gate of one (problem, trajectory),
     shared by the gates and every multiplier solve; theta is recovered from
@@ -212,25 +159,80 @@ class KktWorkspace:
 
     def __init__(self, problem: Problem, traj: Trajectory):
         self.problem = problem
+        self.traj = traj
         self.fields = build_fields(problem, traj)
         self.backward = BackwardLinearMap(self.fields.phix, traj.grid)
         self.h2 = H2Report.from_gradient(self.fields.gu, H2_ALPHA)
         self.i0 = self.h2.i0 - 1
 
     def solve_adjoint(self, lam, theta) -> np.ndarray:
-        return self.backward.solve(_adjoint_source(self.fields, lam, theta))
+        """Integrate p' = -lambda^T L_x - phi_x^T p - theta g_x backward, p(1)=0."""
+        source = _adjoint_source(self.fields, np.asarray(lam, dtype=float),
+                                 np.asarray(theta, dtype=float))
+        return self.backward.solve(source)
 
     def recover_theta(self, lam, p) -> np.ndarray:
-        return _recover_theta(self.fields, lam, p, self.i0)
+        """Solve the stationarity relation for theta via the i0 control component."""
+        f = self.fields
+        gu_i0 = f.gu[:, self.i0]
+        if np.min(np.abs(gu_i0)) < 1e-12:
+            raise H2ViolationError(
+                "constraint control-derivative vanishes on the grid; "
+                "theta recovery is ill-posed"
+            )
+        num = np.einsum("j,jk->k", np.asarray(lam, dtype=float), f.Lu[:, :, self.i0])
+        num += np.einsum("kn,kn->k", f.phiu[:, :, self.i0], np.asarray(p, dtype=float))
+        return -num / gu_i0
 
-    def residuals(self, lam, p, theta, tols: Tolerances) -> KktReport:
-        return _kkt_residuals(
-            self.fields, self.backward, np.asarray(lam, dtype=float), p, theta, tols,
+    def residuals(self, lam, p, theta, tols: Tolerances = Tolerances()) -> KktReport:
+        """Evaluate every first-order residual at a given multiplier triple.
+
+        The adjoint residual is the maximum one-step reproduction defect of
+        the p samples under the same one-step scheme that solve_adjoint uses,
+        so solver output passes at solver accuracy by construction.
+        """
+        f = self.fields
+        lam = np.asarray(lam, dtype=float)
+        p = np.asarray(p, dtype=float)
+        theta = np.asarray(theta, dtype=float)
+        stat = float(np.max(np.abs(_stationarity(f, lam, p, theta))))
+        adj = self.backward.defect(_adjoint_source(f, lam, theta), p)
+        term = float(np.max(np.abs(p[-1])))
+        sign = float(max(0.0, -np.min(theta)))
+        comp = float(np.max(np.abs(theta * f.g)))
+        feas = float(max(0.0, np.max(f.g)))
+        passed = (
+            stat <= tols.stationarity
+            and adj <= tols.adjoint
+            and term <= tols.terminal
+            and sign <= tols.sign
+            and comp <= tols.complementarity
+            and feas <= tols.feasibility
+            and f.state_residual <= tols.state
+        )
+        return KktReport(
+            stationarity_residual=stat,
+            adjoint_residual=adj,
+            terminal_residual=term,
+            theta_sign_violation=sign,
+            complementarity_residual=comp,
+            feasibility_residual=feas,
+            state_residual=f.state_residual,
+            passed=passed,
+            tolerances=tols,
+            lam=tuple(float(v) for v in lam),
+            grid_n=f.grid.n_intervals,
         )
 
-    def solve(self, lam, tols: Tolerances, fp_tol: float = 1e-10,
+    def solve(self, lam, tols: Tolerances = Tolerances(), fp_tol: float = 1e-10,
               max_iterations: int = 100):
-        """Fixed-point iteration on (p, theta); see solve_kkt_system."""
+        """Recover (p, theta) for a given lambda by fixed-point iteration.
+
+        Starts from theta = 0, alternates adjoint solve and theta recovery
+        until the max node change is <= fp_tol or the iteration budget runs
+        out; a non-converged result is returned with the report flagged,
+        never hidden.  Returns (p, theta, KktReport).
+        """
         lam = np.asarray(lam, dtype=float)
         theta = np.zeros(self.fields.grid.n_intervals + 1)
         converged = False
@@ -250,60 +252,3 @@ class KktWorkspace:
         if not converged:
             report.passed = False
         return p, theta, report
-
-
-# ---------------------------------------------------------------------------
-# Public operations
-
-
-def solve_adjoint(problem: Problem, traj: Trajectory, lam, theta) -> np.ndarray:
-    """Integrate p' = -lambda^T L_x - phi_x^T p - theta g_x backward, p(1)=0."""
-    ws = KktWorkspace(problem, traj)
-    return ws.solve_adjoint(np.asarray(lam, dtype=float), np.asarray(theta, dtype=float))
-
-
-def recover_theta(problem: Problem, traj: Trajectory, lam, p) -> np.ndarray:
-    """Solve the stationarity relation for theta via the i0 control component."""
-    ws = KktWorkspace(problem, traj)
-    return ws.recover_theta(np.asarray(lam, dtype=float), np.asarray(p, dtype=float))
-
-
-def solve_kkt_system(
-    problem: Problem,
-    traj: Trajectory,
-    lam,
-    tolerances: Tolerances | None = None,
-    fp_tol: float = 1e-10,
-    max_iterations: int = 100,
-):
-    """Recover (p, theta) for a given lambda by fixed-point iteration.
-
-    Starts from theta = 0, alternates adjoint solve and theta recovery until
-    the max node change is <= fp_tol or the iteration budget runs out; a
-    non-converged result is returned with the report flagged, never hidden.
-    Returns (p, theta, KktReport).
-    """
-    tols = tolerances if tolerances is not None else Tolerances()
-    return KktWorkspace(problem, traj).solve(lam, tols, fp_tol, max_iterations)
-
-
-def kkt_residuals(
-    problem: Problem,
-    traj: Trajectory,
-    triple: MultiplierTriple,
-    tolerances: Tolerances | None = None,
-) -> KktReport:
-    """Evaluate every first-order residual at a given multiplier triple.
-
-    The adjoint residual is the maximum one-step reproduction defect of the
-    p samples under the same one-step scheme that solve_adjoint uses, so
-    solver output passes at solver accuracy by construction.
-    """
-    tols = tolerances if tolerances is not None else Tolerances()
-    ws = KktWorkspace(problem, traj)
-    return ws.residuals(
-        np.asarray(triple.lam, dtype=float),
-        np.asarray(triple.p, dtype=float),
-        np.asarray(triple.theta, dtype=float),
-        tols,
-    )

@@ -36,10 +36,10 @@ from .simplex import unit_weight_grid
 from .trajectory import (
     Direction,
     GridMismatchError,
+    HessianBlocks,
     LinearStateMap,
     Trajectory,
-    TrajectoryFields,
-    build_fields,
+    hessian_blocks,
     l2_norm,
 )
 
@@ -50,8 +50,6 @@ __all__ = [
     "WorstDirectionResult",
     "SocnFragment",
     "SocsFragment",
-    "is_critical",
-    "quadratic_form",
     "coercivity_check",
     "worst_critical_direction",
     "random_critical_directions",
@@ -144,19 +142,20 @@ class WorstDirectionResult:
 # Shared per-(problem, trajectory) machinery
 
 
-class SecondOrderWorkspace:
+class SecondOrderWorkspace(KktWorkspace):
     """Reference-point data reused across directions, weights, and probes.
 
-    Wraps the request's KktWorkspace (``kkt``); builds the linear state map
-    and the c1 Riesz vectors on first use."""
+    Extends the request's KktWorkspace; builds the linear state map, the c1
+    Riesz vectors and the Hessian blocks on first use."""
 
     def __init__(self, problem: Problem, traj: Trajectory):
-        self.problem = problem
-        self.traj = traj
-        self.kkt = KktWorkspace(problem, traj)
-        self.fields = self.kkt.fields
+        super().__init__(problem, traj)
         self.w = self.fields.w
         self.gu_sq = np.einsum("kl,kl->k", self.fields.gu, self.fields.gu)
+
+    @cached_property
+    def hessians(self) -> HessianBlocks:
+        return hessian_blocks(self.problem, self.traj)
 
     @cached_property
     def linmap(self) -> LinearStateMap:
@@ -177,10 +176,10 @@ class SecondOrderWorkspace:
         return self.fields.g >= -eps_act
 
     def combined_hessian(self, lam, p, theta) -> np.ndarray:
-        f = self.fields
-        W = np.einsum("j,jkab->kab", np.asarray(lam, dtype=float), f.Lhess)
-        W += np.einsum("ikab,ki->kab", f.phihess, np.asarray(p, dtype=float))
-        W += np.asarray(theta, dtype=float)[:, None, None] * f.ghess
+        h = self.hessians
+        W = np.einsum("j,jkab->kab", np.asarray(lam, dtype=float), h.L)
+        W += np.einsum("ikab,ki->kab", h.phi, np.asarray(p, dtype=float))
+        W += np.asarray(theta, dtype=float)[:, None, None] * h.g
         return W
 
     def c1_integrals(self, x, u) -> np.ndarray:
@@ -192,8 +191,9 @@ class SecondOrderWorkspace:
         f = self.fields
         return np.einsum("kn,kn->k", f.gx, x) + np.einsum("kl,kl->k", f.gu, u)
 
-    def membership(self, direction: Direction, variant: str, eps_act: float,
-                   tol: float) -> ConeMembership:
+    def membership(self, direction: Direction, variant: str = "sufficient",
+                   eps_act: float = 1e-8, tol: float = 1e-8) -> ConeMembership:
+        """Node-wise membership test for the critical cone at the reference point."""
         if direction.grid.n_intervals != self.traj.grid.n_intervals:
             raise GridMismatchError(
                 f"direction grid N={direction.grid.n_intervals} does not match "
@@ -222,13 +222,14 @@ class SecondOrderWorkspace:
         )
 
     def curvature(self, triple: MultiplierTriple, direction: Direction) -> CurvatureReport:
-        f = self.fields
+        """Curvature Q of the multiplier triple at a direction, with decomposition."""
+        h = self.hessians
         z = np.hstack([direction.x, direction.u])
-        per_objective = np.einsum("ka,jkab,kb->jk", z, f.Lhess, z)
+        per_objective = np.einsum("ka,jkab,kb->jk", z, h.L, z)
         cost = float((np.asarray(triple.lam, dtype=float) @ per_objective) @ self.w)
-        per_state = np.einsum("ka,ikab,kb->ik", z, f.phihess, z)
+        per_state = np.einsum("ka,ikab,kb->ik", z, h.phi, z)
         dyn = float(np.einsum("ik,ki->k", per_state, np.asarray(triple.p)) @ self.w)
-        con = float((np.asarray(triple.theta) * np.einsum("ka,kab,kb->k", z, f.ghess, z)) @ self.w)
+        con = float((np.asarray(triple.theta) * np.einsum("ka,kab,kb->k", z, h.g, z)) @ self.w)
         return CurvatureReport(
             q_value=cost + dyn + con,
             cost_term=cost,
@@ -280,46 +281,13 @@ class SecondOrderWorkspace:
 # Public operations
 
 
-def is_critical(
-    problem: Problem,
-    traj: Trajectory,
-    direction: Direction,
-    variant: str = "sufficient",
-    eps_act: float = 1e-8,
-    tol: float = 1e-8,
-    workspace: SecondOrderWorkspace | None = None,
-) -> ConeMembership:
-    """Node-wise membership test for the critical cone at the reference point."""
-    ws = workspace if workspace is not None else SecondOrderWorkspace(problem, traj)
-    return ws.membership(direction, variant, eps_act, tol)
-
-
-def quadratic_form(
-    problem: Problem,
-    traj: Trajectory,
-    triple: MultiplierTriple,
-    direction: Direction,
-    workspace: SecondOrderWorkspace | None = None,
-) -> CurvatureReport:
-    """Curvature Q of the multiplier triple at a direction, with decomposition."""
-    ws = workspace if workspace is not None else SecondOrderWorkspace(problem, traj)
-    return ws.curvature(triple, direction)
-
-
-def coercivity_check(
-    problem: Problem,
-    traj: Trajectory,
-    lam,
-    gamma0: float,
-    fields: TrajectoryFields | None = None,
-) -> CoercivityReport:
+def coercivity_check(ws: SecondOrderWorkspace, lam, gamma0: float) -> CoercivityReport:
     """Uniform positive-definiteness of lambda^T L_uu along the trajectory."""
     if gamma0 <= 0:
         raise ValueError("gamma0 must be positive")
-    f = fields if fields is not None else build_fields(problem, traj)
-    n = problem.n
+    n = ws.problem.n
     blocks = np.einsum("j,jkab->kab", np.asarray(lam, dtype=float),
-                       f.Lhess[:, :, n:, n:])
+                       ws.hessians.L[:, :, n:, n:])
     blocks = 0.5 * (blocks + np.swapaxes(blocks, 1, 2))
     eigs = np.linalg.eigvalsh(blocks)[:, 0]
     k = int(np.argmin(eigs))
@@ -469,15 +437,13 @@ class _CurvatureSearch:
 
 
 def worst_critical_direction(
-    problem: Problem,
-    traj: Trajectory,
+    ws: SecondOrderWorkspace,
     triple: MultiplierTriple,
     n_restarts: int = 8,
     max_iters: int = 100,
     eps_act: float = 1e-8,
     tol: float = 1e-8,
     seed: int = 42,
-    workspace: SecondOrderWorkspace | None = None,
 ) -> WorstDirectionResult:
     """Search the discrete sufficient cone for a low-curvature unit direction.
 
@@ -487,15 +453,15 @@ def worst_critical_direction(
     """
     if n_restarts < 1:
         raise ValueError("n_restarts must be at least 1")
-    ws = workspace if workspace is not None else SecondOrderWorkspace(problem, traj)
     search = _CurvatureSearch(ws, triple, eps_act, tol)
     rng = np.random.default_rng(seed)
-    k = traj.grid.n_intervals + 1
+    grid = ws.traj.grid
+    k = grid.n_intervals + 1
     best = None
     values = []
     all_converged = True
     for _ in range(n_restarts):
-        u0 = rng.standard_normal((k, problem.l))
+        u0 = rng.standard_normal((k, ws.problem.l))
         out = search.minimize(u0, max_iters)
         if out is None:
             all_converged = False
@@ -509,7 +475,7 @@ def worst_critical_direction(
         raise RuntimeError("every restart collapsed to the zero direction")
     q, u, x = best
     return WorstDirectionResult(
-        direction=Direction(traj.grid, x, u),
+        direction=Direction(grid, x, u),
         q_value=q,
         restart_values=values,
         converged=all_converged,
@@ -517,32 +483,30 @@ def worst_critical_direction(
 
 
 def random_critical_directions(
-    problem: Problem,
-    traj: Trajectory,
+    ws: SecondOrderWorkspace,
     count: int,
     seed: int = 42,
     eps_act: float = 1e-8,
     tol: float = 1e-8,
-    workspace: SecondOrderWorkspace | None = None,
 ) -> list[Direction]:
     """Seeded random unit directions projected into the discrete cone.
 
     Probes that fail the membership test after projection are dropped, so
     fewer than ``count`` directions may be returned.
     """
-    ws = workspace if workspace is not None else SecondOrderWorkspace(problem, traj)
     rng = np.random.default_rng(seed)
-    k = traj.grid.n_intervals + 1
+    grid = ws.traj.grid
+    k = grid.n_intervals + 1
     out = []
     attempts = 0
     while len(out) < count and attempts < 4 * count:
         attempts += 1
-        u = rng.standard_normal((k, problem.l))
+        u = rng.standard_normal((k, ws.problem.l))
         u, x, _ = ws.project_cone(u, eps_act, tol, max_passes=300)
-        nrm = l2_norm(u, traj.grid)
+        nrm = l2_norm(u, grid)
         if nrm < 1e-12:
             continue
-        cand = Direction(traj.grid, x / nrm, u / nrm)
+        cand = Direction(grid, x / nrm, u / nrm)
         if ws.membership(cand, "sufficient", eps_act, tol).passed:
             out.append(cand)
     return out
@@ -580,21 +544,17 @@ class SocnFragment:
 
 
 def socn_verdict(
-    problem: Problem,
-    traj: Trajectory,
+    ws: SecondOrderWorkspace,
     directions: list,
     lambda_points: int = 21,
     tol: float = 1e-8,
     eps_act: float = 1e-8,
-    tolerances: Tolerances | None = None,
-    workspace: SecondOrderWorkspace | None = None,
+    tolerances: Tolerances = Tolerances(),
 ) -> SocnFragment:
     """For each critical direction, look for a weight whose recovered triple
     has nonnegative curvature; report the first direction where none exists.
     """
-    ws = workspace if workspace is not None else SecondOrderWorkspace(problem, traj)
-    tols = tolerances if tolerances is not None else Tolerances()
-    weights = unit_weight_grid(problem.m, lambda_points)
+    weights = unit_weight_grid(ws.problem.m, lambda_points)
     solved = {}  # weight index -> (p, theta, report)
     skipped = []
     results = []
@@ -615,7 +575,7 @@ def socn_verdict(
         kkt_valid = 0
         for i, lam in enumerate(weights):
             if i not in solved:
-                solved[i] = ws.kkt.solve(lam, tols)
+                solved[i] = ws.solve(lam, tolerances)
             p, theta, report = solved[i]
             if not report.passed:
                 q_by_weight.append({"lambda": [float(v) for v in lam],
@@ -696,34 +656,28 @@ _SOCS_CAVEAT = (
 
 
 def socs_verdict(
-    problem: Problem,
-    traj: Trajectory,
+    ws: SecondOrderWorkspace,
     triple: MultiplierTriple,
     gamma0: float,
     n_probes: int = 50,
     max_iters: int = 100,
     tol: float = 1e-8,
     eps_act: float = 1e-8,
-    tolerances: Tolerances | None = None,
+    tolerances: Tolerances = Tolerances(),
     seed: int = 42,
-    workspace: SecondOrderWorkspace | None = None,
 ) -> SocsFragment:
     """Sufficient-condition pipeline at one multiplier triple."""
-    ws = workspace if workspace is not None else SecondOrderWorkspace(problem, traj)
-    tols = tolerances if tolerances is not None else Tolerances()
-    kkt_report = ws.kkt.residuals(triple.lam, np.asarray(triple.p),
-                                  np.asarray(triple.theta), tols)
+    kkt_report = ws.residuals(triple.lam, triple.p, triple.theta, tolerances)
     if not kkt_report.passed:
         return SocsFragment("fail", "kkt", kkt_report.to_dict(), None, None,
                             _SOCS_CAVEAT, tol)
-    coercivity = coercivity_check(problem, traj, triple.lam, gamma0, fields=ws.fields)
+    coercivity = coercivity_check(ws, triple.lam, gamma0)
     if not coercivity.passed:
         return SocsFragment("fail", "coercivity", kkt_report.to_dict(),
                             coercivity.to_dict(), None, _SOCS_CAVEAT, tol)
     search = worst_critical_direction(
-        problem, traj, triple,
-        n_restarts=n_probes, max_iters=max_iters,
-        eps_act=eps_act, tol=tol, seed=seed, workspace=ws,
+        ws, triple, n_restarts=n_probes, max_iters=max_iters,
+        eps_act=eps_act, tol=tol, seed=seed,
     )
     min_q = min(search.restart_values) if search.restart_values else search.q_value
     # probes are normalized to unit control norm, so the threshold is plain tol

@@ -38,6 +38,8 @@ __all__ = [
     "BackwardLinearMap",
     "TrajectoryFields",
     "build_fields",
+    "HessianBlocks",
+    "hessian_blocks",
 ]
 
 
@@ -360,33 +362,25 @@ def linearized_state(problem: Problem, traj: Trajectory, u_dir: np.ndarray) -> n
 
 @dataclass(eq=False)
 class TrajectoryFields:
-    """Values and derivatives of L, phi, g sampled along a reference point.
-
-    Hessians are in the stacked variables (x1..xn, u1..ul); shapes use
-    K = N+1 nodes and nl = n+l.
-    """
+    """Values and first derivatives of L, phi, g sampled along a reference
+    point; shapes use K = N+1 nodes."""
 
     grid: Grid
     w: np.ndarray  # (K,) trapezoid weights
     L: np.ndarray  # (m, K)
     Lx: np.ndarray  # (m, K, n)
     Lu: np.ndarray  # (m, K, l)
-    Lhess: np.ndarray  # (m, K, nl, nl)
     phi: np.ndarray  # (K, n)
     phix: np.ndarray  # (K, n, n)
     phiu: np.ndarray  # (K, n, l)
-    phihess: np.ndarray  # (n, K, nl, nl)
     g: np.ndarray  # (K,)
     gx: np.ndarray  # (K, n)
     gu: np.ndarray  # (K, l)
-    ghess: np.ndarray  # (K, nl, nl)
     state_residual: float  # state_residual(problem, traj), from phi above
 
 
 def build_fields(problem: Problem, traj: Trajectory) -> TrajectoryFields:
     n = problem.n
-    nl = n + problem.l
-    k = traj.grid.n_intervals + 1
 
     def values(ast):
         return node_values(problem, ast, traj)
@@ -394,26 +388,16 @@ def build_fields(problem: Problem, traj: Trajectory) -> TrajectoryFields:
     def grads(table, part):  # (K, len(part)) partials in the stacked variables
         return np.stack([values(a) for a in table.grad[part]], axis=1)
 
-    def hess_block(table):
-        out = np.empty((k, nl, nl))
-        for a in range(nl):
-            for b in range(nl):
-                out[:, a, b] = values(table.hess[a][b])
-        return out
-
     L = np.stack([values(a) for a in problem.L])
     Lx = np.stack([grads(t, np.s_[:n]) for t in problem.L_derivs])
     Lu = np.stack([grads(t, np.s_[n:]) for t in problem.L_derivs])
-    Lhess = np.stack([hess_block(t) for t in problem.L_derivs])
 
     phi = _phi_nodes(problem, traj)
     phix, phiu = dynamics_jacobians(problem, traj)
-    phihess = np.stack([hess_block(t) for t in problem.phi_derivs])
 
     g = values(problem.g)
     gx = grads(problem.g_derivs, np.s_[:n])
     gu = grads(problem.g_derivs, np.s_[n:])
-    ghess = hess_block(problem.g_derivs)
 
     for label, arr in (("L", L), ("L gradients", Lx), ("dynamics jacobian", phix),
                        ("constraint", g)):
@@ -427,14 +411,40 @@ def build_fields(problem: Problem, traj: Trajectory) -> TrajectoryFields:
         L=L,
         Lx=Lx,
         Lu=Lu,
-        Lhess=Lhess,
         phi=phi,
         phix=phix,
         phiu=phiu,
-        phihess=phihess,
         g=g,
         gx=gx,
         gu=gu,
-        ghess=ghess,
         state_residual=_state_defect(problem, traj, phi),
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class HessianBlocks:
+    """Second derivatives of L, phi, g along a reference point, in the
+    stacked variables (x1..xn, u1..ul); K = N+1 nodes and nl = n+l."""
+
+    L: np.ndarray  # (m, K, nl, nl)
+    phi: np.ndarray  # (n, K, nl, nl)
+    g: np.ndarray  # (K, nl, nl)
+
+
+def hessian_blocks(problem: Problem, traj: Trajectory) -> HessianBlocks:
+    """Hessian blocks at every node; only the second-order checks read them."""
+    nl = problem.n + problem.l
+    k = traj.grid.n_intervals + 1
+
+    def block(table):
+        out = np.empty((k, nl, nl))
+        for a in range(nl):
+            for b in range(nl):
+                out[:, a, b] = node_values(problem, table.hess[a][b], traj)
+        return out
+
+    return HessianBlocks(
+        L=np.stack([block(t) for t in problem.L_derivs]),
+        phi=np.stack([block(t) for t in problem.phi_derivs]),
+        g=block(problem.g_derivs),
     )

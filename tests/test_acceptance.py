@@ -22,7 +22,7 @@ from paretocert.findim import (
 )
 from paretocert.kkt import KktWorkspace, MultiplierTriple, _stationarity
 from paretocert.problem import builtin, builtin_names, node_values
-from paretocert.second_order import SecondOrderWorkspace, is_critical, quadratic_form
+from paretocert.second_order import SecondOrderWorkspace
 from paretocert.trajectory import (
     Direction,
     Grid,
@@ -50,7 +50,7 @@ def ramp_direction(grid):
 
 
 def test_criterion_1_indefinite_curvature_value():
-    """quadratic_form reproduces -(4/3)(l1+l2) on the ramp direction."""
+    """The curvature form reproduces -(4/3)(l1+l2) on the ramp direction."""
     started = time.perf_counter()
     p = builtin("example_6_2")
     traj = zero_traj(p, 1000)
@@ -59,7 +59,7 @@ def test_criterion_1_indefinite_curvature_value():
     worst = 0.0
     for lam in [(1.0, 0.0), (0.0, 1.0), (1 / np.sqrt(2), 1 / np.sqrt(2)), (0.5, 0.5)]:
         triple = MultiplierTriple(np.asarray(lam), np.zeros((1001, 2)), np.zeros(1001))
-        q = quadratic_form(p, traj, triple, d, workspace=ws).q_value
+        q = ws.curvature(triple, d).q_value
         worst = max(worst, abs(q - (-4.0 / 3.0) * sum(lam)))
     elapsed = time.perf_counter() - started
     _report(1, "indefinite-example curvature value", worst <= 1e-5 and elapsed < 1.0,
@@ -223,15 +223,15 @@ def test_criterion_6_homogeneity_and_cone_invariants():
         u = rng.standard_normal((201, 2))
         x = ws.linmap.apply(u)
         d = Direction(traj.grid, x, u)
-        base = quadratic_form(p, traj, triple, d, workspace=ws).q_value
+        base = ws.curvature(triple, d).q_value
         for alpha in (-1.0, 0.5, 2.0):
             scaled = Direction(traj.grid, alpha * x, alpha * u)
-            got = quadratic_form(p, traj, triple, scaled, workspace=ws).q_value
+            got = ws.curvature(triple, scaled).q_value
             worst = max(worst, abs(got - alpha**2 * base) / max(abs(base), 1e-30))
-        membership = is_critical(p, traj, d, workspace=ws)
+        membership = ws.membership(d)
         for alpha in (0.5, 2.0):
             scaled = Direction(traj.grid, alpha * x, alpha * u)
-            scaled_membership = is_critical(p, traj, scaled, workspace=ws)
+            scaled_membership = ws.membership(scaled)
             assert scaled_membership.passed == membership.passed
             assert scaled_membership.c3_residual == pytest.approx(
                 alpha * membership.c3_residual, rel=1e-9, abs=1e-12)
@@ -290,7 +290,7 @@ def test_criterion_8_grid_convergence():
         traj = zero_traj(p, n)
         d = ramp_direction(traj.grid)
         triple = MultiplierTriple(np.asarray(lam), np.zeros((n + 1, 2)), np.zeros(n + 1))
-        q = quadratic_form(p, traj, triple, d).q_value
+        q = SecondOrderWorkspace(p, traj).curvature(triple, d).q_value
         curvature_errors.append(abs(q - exact))
     # state residual on the nonlinear registry problem with a smooth control
     p = builtin("damped_pendulum")

@@ -1,5 +1,6 @@
 """CLI exit codes, certificate schema, determinism, and audit round-trip."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -284,10 +285,13 @@ class TestFindim:
         # G is evaluated at zbar by the regularity check
         ({"nz": 2, "m": 1, "f": ["z1^2 + z2^2"], "G": ["1 / z1"]}, "0,0",
          "division by zero in '1 / z1'"),
+        # f is evaluated at zbar before any of its derivatives
+        ({"nz": 2, "m": 1, "f": ["1 / z1 + z2^2"], "G": ["z1 + z2 - 1"]}, "0,0",
+         "division by zero in '1 / z1'"),
         # finite at zbar, non-positive only on the oracle grid (z3 <= -2)
         ({"nz": 3, "m": 1, "f": ["z1^2 + z2^2 + log(z3 + 2)"], "G": ["z1 + z2 - 1"]},
          "0,0,-1.8", "log of non-positive value in 'log(z3 + 2)'"),
-    ], ids=["at-zbar", "on-oracle-grid"])
+    ], ids=["at-zbar", "f-at-zbar", "on-oracle-grid"])
     def test_domain_error_is_input_error(self, capsys, tmp_path, doc, zbar, message):
         path = tmp_path / "domain.json"
         path.write_text(json.dumps(doc))
@@ -296,6 +300,32 @@ class TestFindim:
         assert code == 1
         assert out == ""
         assert message in err
+
+    def test_certificate_records_program_hash_and_no_seed(self, capsys, tmp_path):
+        doc = {"nz": 2, "m": 2, "f": ["z1^2 + z2^2", "(z1 - 1)^2 + z2^2"],
+               "G": ["z1 + z2 - 1"]}
+        digests = []
+        for coefficient in ("1", "2"):
+            doc["G"] = [f"z1 + {coefficient}*z2 - 1"]
+            path = tmp_path / f"program_{coefficient}.json"
+            path.write_text(json.dumps(doc))
+            code, out, err = run_cli(capsys, "findim", str(path), "--zbar", "0,0",
+                                     "--steps", "4")
+            assert code == 0, err
+            cert = load_cert(out)
+            assert cert["seed"] is None
+            assert cert["grid_n"] is None
+            assert cert["problem"]["name"] is None
+            digests.append(cert["problem"]["sha256"])
+        assert all(len(d) == 64 for d in digests)
+        assert digests[0] != digests[1]
+
+    def test_seed_is_usage_error(self, capsys, findim_fixture_file):
+        code, out, err = run_cli(capsys, "findim", findim_fixture_file, "--zbar", "0,0",
+                                 "--seed", "7")
+        assert code == 1
+        assert out == ""
+        assert "--seed" in err
 
 
 class TestOtherCommands:
@@ -377,7 +407,8 @@ class TestConstructionContract:
     @pytest.fixture
     def calls(self, monkeypatch):
         calls = {"build_fields": 0, "BackwardLinearMap": 0, "LinearStateMap": 0,
-                 "apply_transpose": 0, "parse": 0, "differentiate": 0, "solve": []}
+                 "apply_transpose": 0, "hessian_blocks": 0, "parse": 0,
+                 "differentiate": 0, "solve": []}
 
         def count(owner, name, key, record=None):
             original = getattr(owner, name)
@@ -401,6 +432,7 @@ class TestConstructionContract:
                         monkeypatch.setattr(module, attr, counted)
 
         count(trajectory, "build_fields", "build_fields")
+        count(trajectory, "hessian_blocks", "hessian_blocks")
         count(trajectory.BackwardLinearMap, "__init__", "BackwardLinearMap")
         count(trajectory.LinearStateMap, "__init__", "LinearStateMap")
         count(trajectory.LinearStateMap, "apply_transpose", "apply_transpose")
@@ -429,27 +461,28 @@ class TestConstructionContract:
     CASES = {
         "check-kkt": (["check-kkt", "{problem}", "--lambda", "0.5,0.5", "--grid", "100"],
                       dict(build_fields=1, BackwardLinearMap=1, LinearStateMap=0,
-                           apply_transpose=0, parse=PARSES)),
+                           apply_transpose=0, hessian_blocks=0, parse=PARSES)),
         "check-socn-probes": (["check-socn", "{problem}", "--grid", "100", "--probes", "3"],
                               dict(build_fields=1, BackwardLinearMap=1, LinearStateMap=1,
-                                   parse=PARSES)),
+                                   hessian_blocks=1, parse=PARSES)),
         "check-socn-directions": (["check-socn", "{problem}", "--grid", "100",
                                    "--directions", "{direction}"],
                                   dict(build_fields=1, BackwardLinearMap=1,
                                        LinearStateMap=1, apply_transpose=0,
-                                       parse=PARSES)),
+                                       hessian_blocks=1, parse=PARSES)),
         "check-socs": (["check-socs", "{problem}", "--lambda", "0.5,0.5", "--gamma0", "1",
                         "--grid", "100", "--probes", "2", "--max-iters", "5"],
                        dict(build_fields=1, BackwardLinearMap=1, LinearStateMap=1,
-                            parse=PARSES)),
+                            hessian_blocks=1, parse=PARSES)),
         "findim": (["findim", "{findim}", "--zbar", "0,0", "--steps", "4"],
                    dict(build_fields=0, BackwardLinearMap=0, LinearStateMap=0,
-                        parse=0)),
+                        hessian_blocks=0, parse=0)),
         "integrate": (["integrate", "{problem}", "--grid", "20"],
                       dict(build_fields=0, BackwardLinearMap=0, LinearStateMap=0,
-                           parse=PARSES)),
+                           hessian_blocks=0, parse=PARSES)),
         "show-builtin": (["show-builtin", "example_6_1"],
-                         dict(build_fields=0, BackwardLinearMap=0, LinearStateMap=0)),
+                         dict(build_fields=0, BackwardLinearMap=0, LinearStateMap=0,
+                              hessian_blocks=0)),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -461,6 +494,13 @@ class TestConstructionContract:
         # each weight's multipliers are solved at most once per request
         assert len(calls["solve"]) == len(set(calls["solve"]))
 
+    def test_field_table_holds_no_hessians(self):
+        problem = builtin("example_6_2")
+        fields = trajectory.build_fields(problem, integrate_state(
+            problem, np.zeros((21, problem.l)), Grid(20)))
+        names = [f.name for f in dataclasses.fields(fields)]
+        assert "L" in names and "gu" in names
+        assert not [name for name in names if "hess" in name.lower()]
 
     def test_findim_differentiates_at_load_only(self, capsys, calls, files):
         counts = []

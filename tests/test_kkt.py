@@ -3,16 +3,7 @@
 import numpy as np
 import pytest
 
-from paretocert.kkt import (
-    H2ViolationError,
-    KktWorkspace,
-    MultiplierTriple,
-    Tolerances,
-    kkt_residuals,
-    recover_theta,
-    solve_adjoint,
-    solve_kkt_system,
-)
+from paretocert.kkt import H2ViolationError, KktWorkspace, MultiplierTriple, Tolerances
 from paretocert.problem import builtin, load_problem
 from paretocert.trajectory import Grid, Trajectory, integrate_state, quad_weights, quadrature
 
@@ -28,13 +19,13 @@ class TestSolveAdjoint:
     def test_zero_point_gives_zero_adjoint(self):
         p = builtin("example_6_1")
         traj = zero_traj(p)
-        pa = solve_adjoint(p, traj, UNIT, np.zeros(101))
+        pa = KktWorkspace(p, traj).solve_adjoint(UNIT, np.zeros(101))
         assert np.max(np.abs(pa)) == 0.0
 
     def test_zero_source_zero_terminal(self):
         p = builtin("example_6_2")
         traj = zero_traj(p, 60)
-        pa = solve_adjoint(p, traj, (0.6, 0.8), np.zeros(61))
+        pa = KktWorkspace(p, traj).solve_adjoint((0.6, 0.8), np.zeros(61))
         assert np.max(np.abs(pa)) == 0.0
 
     def test_linear_growth_closed_form(self):
@@ -44,7 +35,7 @@ class TestSolveAdjoint:
         grid = Grid(50)
         nodes = grid.nodes
         traj = Trajectory(grid, np.stack([nodes, nodes], axis=1), np.ones((51, 2)))
-        pa = solve_adjoint(p, traj, (1.0, 0.0), np.zeros(51))
+        pa = KktWorkspace(p, traj).solve_adjoint((1.0, 0.0), np.zeros(51))
         np.testing.assert_allclose(pa[:, 0], 1 - nodes**2, atol=1e-12)
         np.testing.assert_allclose(pa[:, 1], 0.0, atol=1e-15)
 
@@ -53,7 +44,7 @@ class TestSolveAdjoint:
         grid = Grid(33)
         u = np.sin(grid.nodes)[:, None]
         traj = integrate_state(p, u, grid)
-        pa = solve_adjoint(p, traj, (0.3, 0.7), np.cos(grid.nodes))
+        pa = KktWorkspace(p, traj).solve_adjoint((0.3, 0.7), np.cos(grid.nodes))
         np.testing.assert_array_equal(pa[-1], np.zeros(2))
 
 
@@ -61,7 +52,7 @@ class TestRecoverTheta:
     def test_zero_multipliers_at_origin(self):
         p = builtin("example_6_1")
         traj = zero_traj(p)
-        theta = recover_theta(p, traj, UNIT, np.zeros((101, 2)))
+        theta = KktWorkspace(p, traj).recover_theta(UNIT, np.zeros((101, 2)))
         assert np.max(np.abs(theta)) == 0.0
 
     def test_division_guard(self):
@@ -72,14 +63,15 @@ class TestRecoverTheta:
         p = load_problem(doc)
         traj = zero_traj(p, 20)
         with pytest.raises(H2ViolationError):
-            recover_theta(p, traj, (1.0,), np.zeros((21, 1)))
+            KktWorkspace(p, traj).recover_theta((1.0,), np.zeros((21, 1)))
 
     def test_indefinite_example_direction_fixture(self):
         # at the zero point L_u vanishes, so theta stays zero
         p = builtin("example_6_2")
         traj = zero_traj(p)
-        pa = solve_adjoint(p, traj, UNIT, np.zeros(101))
-        theta = recover_theta(p, traj, UNIT, pa)
+        ws = KktWorkspace(p, traj)
+        pa = ws.solve_adjoint(UNIT, np.zeros(101))
+        theta = ws.recover_theta(UNIT, pa)
         assert np.max(np.abs(theta)) == 0.0
 
     def test_i0_component_residual_vanishes_by_construction(self):
@@ -101,7 +93,7 @@ class TestSolveKktSystem:
     def test_quadratic_example_origin(self):
         p = builtin("example_6_1")
         traj = zero_traj(p)
-        pa, theta, report = solve_kkt_system(p, traj, UNIT)
+        pa, theta, report = KktWorkspace(p, traj).solve(UNIT)
         assert report.passed and report.converged
         assert report.iterations <= 3
         assert np.max(np.abs(pa)) == 0.0 and np.max(np.abs(theta)) == 0.0
@@ -110,7 +102,7 @@ class TestSolveKktSystem:
         p = builtin("example_6_2")
         traj = zero_traj(p)
         for lam in [(1.0, 0.0), (0.0, 1.0), UNIT, (0.3, 0.7)]:
-            pa, theta, report = solve_kkt_system(p, traj, lam)
+            pa, theta, report = KktWorkspace(p, traj).solve(lam)
             assert report.passed and report.iterations <= 3
             assert np.max(np.abs(pa)) == 0.0 and np.max(np.abs(theta)) == 0.0
 
@@ -125,10 +117,30 @@ class TestSolveKktSystem:
         grid = Grid(60)
         u = 0.1 * np.ones((61, 1))
         traj = integrate_state(p, u, grid)
-        _, _, report = solve_kkt_system(p, traj, (1.0,), max_iterations=30)
+        _, _, report = KktWorkspace(p, traj).solve((1.0,), max_iterations=30)
         assert not report.converged
         assert not report.passed
         assert report.iterations == 30
+
+    def test_coupled_fixed_point_converges(self):
+        # theta couples back into the adjoint through g_x = 0.5, weakly
+        # enough that the (p, theta) iteration contracts over several steps
+        doc = {
+            "n": 1, "l": 1, "m": 1, "x0": [0.0],
+            "L": ["x1^2 + u1^2"], "phi": ["u1 - 0.5*x1"], "g": "0.5*x1 - u1 - 1",
+        }
+        p = load_problem(doc)
+        grid = Grid(60)
+        traj = integrate_state(p, 0.1 * np.ones((61, 1)), grid)
+        ws = KktWorkspace(p, traj)
+        lam = np.array([1.0])
+        _, theta, report = ws.solve(lam)
+        assert report.converged
+        assert 1 < report.iterations < 100
+        assert report.adjoint_residual <= 1e-10
+        assert np.min(theta) > 0  # the coupling is live at every node
+        again = ws.recover_theta(lam, ws.solve_adjoint(lam, theta))
+        np.testing.assert_allclose(again, theta, rtol=0, atol=1e-9)
 
     def test_perturbed_control_is_not_kkt(self):
         p = builtin("example_6_1")
@@ -136,7 +148,7 @@ class TestSolveKktSystem:
         u = np.zeros((101, 2))
         u[:, 0] += 0.1  # asymmetric shift off the known multiplier system
         traj = integrate_state(p, u, grid)
-        _, _, report = solve_kkt_system(p, traj, UNIT)
+        _, _, report = KktWorkspace(p, traj).solve(UNIT)
         assert report.stationarity_residual > 1e-8
         assert not report.passed
         # the solved subsystem still holds when the iteration converged:
@@ -151,7 +163,7 @@ class TestKktResiduals:
         p = builtin("example_6_1")
         traj = zero_traj(p)
         triple = MultiplierTriple(np.asarray(UNIT), np.zeros((101, 2)), np.zeros(101))
-        report = kkt_residuals(p, traj, triple)
+        report = KktWorkspace(p, traj).residuals(triple.lam, triple.p, triple.theta)
         assert report.passed
         assert all(v == 0.0 for v in report.residuals().values())
 
@@ -159,7 +171,7 @@ class TestKktResiduals:
         p = builtin("example_6_1")
         traj = zero_traj(p)
         triple = MultiplierTriple(np.asarray(UNIT), np.zeros((101, 2)), -np.ones(101))
-        report = kkt_residuals(p, traj, triple)
+        report = KktWorkspace(p, traj).residuals(triple.lam, triple.p, triple.theta)
         assert report.theta_sign_violation == pytest.approx(1.0)
         assert not report.passed
 
@@ -171,7 +183,7 @@ class TestKktResiduals:
         p = load_problem(doc)
         traj = zero_traj(p, 40)
         triple = MultiplierTriple(np.array([1.0]), np.zeros((41, 1)), np.ones(41))
-        report = kkt_residuals(p, traj, triple)
+        report = KktWorkspace(p, traj).residuals(triple.lam, triple.p, triple.theta)
         assert report.complementarity_residual == pytest.approx(1.0)
         assert not report.passed
 
@@ -179,7 +191,8 @@ class TestKktResiduals:
         p = builtin("example_6_1")
         traj = zero_traj(p)
         triple = MultiplierTriple(np.asarray(UNIT), np.zeros((101, 2)), np.zeros(101))
-        report = kkt_residuals(p, traj, triple, Tolerances.uniform(1e-3))
+        report = KktWorkspace(p, traj).residuals(triple.lam, triple.p, triple.theta,
+                                                 Tolerances.uniform(1e-3))
         assert report.tolerances.stationarity == 1e-3
         assert report.passed
 
@@ -188,7 +201,7 @@ class TestKktResiduals:
 
         p = builtin("example_6_1")
         traj = zero_traj(p)
-        _, _, report = solve_kkt_system(p, traj, UNIT)
+        _, _, report = KktWorkspace(p, traj).solve(UNIT)
         json.dumps(report.to_dict())
 
     def test_lambda_validation(self):

@@ -8,8 +8,6 @@ from paretocert.problem import builtin, load_problem
 from paretocert.second_order import (
     SecondOrderWorkspace,
     coercivity_check,
-    is_critical,
-    quadratic_form,
     random_critical_directions,
     socn_verdict,
     socs_verdict,
@@ -34,6 +32,10 @@ def zero_traj(problem, n=200):
     return integrate_state(problem, np.zeros((n + 1, problem.l)), grid)
 
 
+def zero_ws(problem, n=200):
+    return SecondOrderWorkspace(problem, zero_traj(problem, n))
+
+
 def ramp_direction(grid):
     """x = (t, t), u = (1, 1) on the grid."""
     t = grid.nodes
@@ -48,29 +50,28 @@ def zero_triple(problem, grid, lam):
 
 class TestIsCritical:
     def test_ramp_is_critical_for_indefinite_example(self):
-        p = builtin("example_6_2")
-        traj = zero_traj(p)
-        cm = is_critical(p, traj, ramp_direction(traj.grid))
+        ws = zero_ws(builtin("example_6_2"))
+        grid = ws.traj.grid
+        cm = ws.membership(ramp_direction(grid))
         assert cm.passed
         assert cm.c1_residual == 0.0  # cost gradients vanish at the origin
         assert cm.c3_residual == 0.0  # 2t - 2 <= 0 on [0, 1]
-        assert len(cm.active_nodes) == traj.grid.n_intervals + 1
+        assert len(cm.active_nodes) == grid.n_intervals + 1
 
     def test_zero_direction_passes(self):
-        p = builtin("example_6_1")
-        traj = zero_traj(p)
-        k = traj.grid.n_intervals + 1
-        cm = is_critical(p, traj, Direction(traj.grid, np.zeros((k, 2)), np.zeros((k, 2))))
+        ws = zero_ws(builtin("example_6_1"))
+        grid = ws.traj.grid
+        k = grid.n_intervals + 1
+        cm = ws.membership(Direction(grid, np.zeros((k, 2)), np.zeros((k, 2))))
         assert cm.passed
         assert (cm.c1_residual, cm.c2_residual, cm.c3_residual) == (0.0, 0.0, 0.0)
 
     def test_cone_property_under_positive_scaling(self):
-        p = builtin("example_6_1")
-        traj = zero_traj(p)
-        d = ramp_direction(traj.grid)
-        scaled = Direction(traj.grid, 2 * d.x, 2 * d.u)
-        assert is_critical(p, traj, d).passed
-        assert is_critical(p, traj, scaled).passed
+        ws = zero_ws(builtin("example_6_1"))
+        d = ramp_direction(ws.traj.grid)
+        scaled = Direction(ws.traj.grid, 2 * d.x, 2 * d.u)
+        assert ws.membership(d).passed
+        assert ws.membership(scaled).passed
 
     def test_residual_scales_linearly(self):
         p = builtin("example_6_2")
@@ -80,16 +81,16 @@ class TestIsCritical:
         u = rng.standard_normal((k, 2))
         x = linearized_state(p, traj, u)
         d = Direction(traj.grid, x, u)
-        base = is_critical(p, traj, d)
-        doubled = is_critical(p, traj, Direction(traj.grid, 2 * x, 2 * u))
+        ws = SecondOrderWorkspace(p, traj)
+        base = ws.membership(d)
+        doubled = ws.membership(Direction(traj.grid, 2 * x, 2 * u))
         assert doubled.c3_residual == pytest.approx(2 * base.c3_residual, rel=1e-12)
 
     def test_dynamics_defect_detected(self):
-        p = builtin("example_6_1")
-        traj = zero_traj(p, 50)
-        d = ramp_direction(traj.grid)
-        broken = Direction(traj.grid, d.x + 0.5, d.u)
-        cm = is_critical(p, traj, broken)
+        ws = zero_ws(builtin("example_6_1"), 50)
+        d = ramp_direction(ws.traj.grid)
+        broken = Direction(ws.traj.grid, d.x + 0.5, d.u)
+        cm = ws.membership(broken)
         assert cm.c2_residual >= 0.5
         assert not cm.passed
 
@@ -99,33 +100,31 @@ class TestIsCritical:
         k = 41
         u = 5 * np.ones((k, 1))
         x = linearized_state(p, traj, u)
-        cm = is_critical(p, traj, Direction(traj.grid, x, u))
+        cm = SecondOrderWorkspace(p, traj).membership(Direction(traj.grid, x, u))
         assert len(cm.active_nodes) == 0
         assert cm.c3_residual == 0.0
 
     def test_grid_mismatch(self):
-        p = builtin("example_6_1")
-        traj = zero_traj(p, 50)
+        ws = zero_ws(builtin("example_6_1"), 50)
         with pytest.raises(GridMismatchError):
-            is_critical(p, traj, ramp_direction(Grid(20)))
+            ws.membership(ramp_direction(Grid(20)))
 
     def test_variant_recorded(self):
-        p = builtin("example_6_1")
-        traj = zero_traj(p, 20)
-        cm = is_critical(p, traj, ramp_direction(traj.grid), variant="necessary")
+        ws = zero_ws(builtin("example_6_1"), 20)
+        cm = ws.membership(ramp_direction(ws.traj.grid), variant="necessary")
         assert cm.variant == "necessary"
         with pytest.raises(ValueError):
-            is_critical(p, traj, ramp_direction(traj.grid), variant="bogus")
+            ws.membership(ramp_direction(ws.traj.grid), variant="bogus")
 
 
 class TestQuadraticForm:
     def test_indefinite_example_reference_value(self):
         p = builtin("example_6_2")
-        traj = zero_traj(p, 1000)
-        d = ramp_direction(traj.grid)
+        ws = zero_ws(p, 1000)
+        d = ramp_direction(ws.traj.grid)
         for lam in [(1.0, 0.0), (0.0, 1.0), tuple(UNIT), (0.5, 0.5)]:
-            triple = zero_triple(p, traj.grid, lam)
-            report = quadratic_form(p, traj, triple, d)
+            triple = zero_triple(p, ws.traj.grid, lam)
+            report = ws.curvature(triple, d)
             assert report.q_value == pytest.approx(-4.0 / 3.0 * sum(lam), abs=1e-5)
             # with p = 0 and theta = 0 the form reduces to the pure cost term
             assert report.dynamics_term == 0.0
@@ -133,10 +132,10 @@ class TestQuadraticForm:
 
     def test_zero_direction(self):
         p = builtin("example_6_1")
-        traj = zero_traj(p, 100)
+        ws = zero_ws(p, 100)
         k = 101
-        d = Direction(traj.grid, np.zeros((k, 2)), np.zeros((k, 2)))
-        assert quadratic_form(p, traj, zero_triple(p, traj.grid, UNIT), d).q_value == 0.0
+        d = Direction(ws.traj.grid, np.zeros((k, 2)), np.zeros((k, 2)))
+        assert ws.curvature(zero_triple(p, ws.traj.grid, UNIT), d).q_value == 0.0
 
     def test_quadratic_example_is_pure_cost_integral(self):
         p = builtin("example_6_1")
@@ -146,7 +145,7 @@ class TestQuadraticForm:
         u = rng.standard_normal((k, 2))
         x = linearized_state(p, traj, u)
         d = Direction(traj.grid, x, u)
-        report = quadratic_form(p, traj, zero_triple(p, traj.grid, (0.5, 0.5)), d)
+        report = SecondOrderWorkspace(p, traj).curvature(zero_triple(p, traj.grid, (0.5, 0.5)), d)
         # independent evaluation of the integrand
         expected = quadrature((x**2).sum(axis=1) + (u**2).sum(axis=1), traj.grid)
         assert report.q_value == pytest.approx(expected, rel=1e-12)
@@ -163,7 +162,7 @@ class TestQuadraticForm:
                                   rng.standard_normal(81) ** 2)
         u = rng.standard_normal((81, 1))
         d = Direction(grid, linearized_state(p, traj, u), u)
-        r = quadratic_form(p, traj, triple, d)
+        r = SecondOrderWorkspace(p, traj).curvature(triple, d)
         assert r.q_value == pytest.approx(
             r.cost_term + r.dynamics_term + r.constraint_term, abs=1e-12)
 
@@ -176,64 +175,57 @@ class TestQuadraticForm:
         for _ in range(10):
             u = rng.standard_normal((121, 2))
             x = ws.linmap.apply(u)
-            base = quadratic_form(p, traj, triple, Direction(traj.grid, x, u), workspace=ws)
+            base = ws.curvature(triple, Direction(traj.grid, x, u))
             for alpha in (-1.0, 0.5, 2.0):
                 scaled = Direction(traj.grid, alpha * x, alpha * u)
-                got = quadratic_form(p, traj, triple, scaled, workspace=ws)
+                got = ws.curvature(triple, scaled)
                 assert got.q_value == pytest.approx(alpha**2 * base.q_value, rel=1e-10)
 
 
 class TestCoercivity:
     def test_quadratic_example_margin_zero(self):
-        p = builtin("example_6_1")
-        traj = zero_traj(p, 100)
-        r = coercivity_check(p, traj, (0.5, 0.5), gamma0=1.0)
+        r = coercivity_check(zero_ws(builtin("example_6_1"), 100), (0.5, 0.5), gamma0=1.0)
         assert r.passed
         assert r.margin == pytest.approx(0.0, abs=1e-12)
 
     def test_negative_definite_control_hessian(self):
-        p = builtin("example_6_2")
-        traj = zero_traj(p, 100)
-        r = coercivity_check(p, traj, (0.5, 0.5), gamma0=0.1)
+        r = coercivity_check(zero_ws(builtin("example_6_2"), 100), (0.5, 0.5), gamma0=0.1)
         assert not r.passed
         assert r.min_eigenvalue == pytest.approx(-1.0, abs=1e-12)
 
     def test_degenerate_weight(self):
-        p = builtin("example_6_1")
-        traj = zero_traj(p, 100)
-        r = coercivity_check(p, traj, (1.0, 0.0), gamma0=1.0)
+        r = coercivity_check(zero_ws(builtin("example_6_1"), 100), (1.0, 0.0), gamma0=1.0)
         assert not r.passed
         assert r.margin == pytest.approx(-1.0, abs=1e-12)
 
     def test_gamma0_validated(self):
-        p = builtin("example_6_1")
         with pytest.raises(ValueError):
-            coercivity_check(p, zero_traj(p, 20), (0.5, 0.5), gamma0=0.0)
+            coercivity_check(zero_ws(builtin("example_6_1"), 20), (0.5, 0.5), gamma0=0.0)
 
 
 class TestWorstDirection:
     def test_indefinite_example_finds_negative_curvature(self):
         p = builtin("example_6_2")
-        traj = zero_traj(p, 200)
-        triple = zero_triple(p, traj.grid, UNIT)
-        result = worst_critical_direction(p, traj, triple, n_restarts=3, seed=1)
+        ws = zero_ws(p, 200)
+        triple = zero_triple(p, ws.traj.grid, UNIT)
+        result = worst_critical_direction(ws, triple, n_restarts=3, seed=1)
         assert result.q_value < 0
-        cm = is_critical(p, traj, result.direction, tol=1e-6)
+        cm = ws.membership(result.direction, tol=1e-6)
         assert cm.passed
 
     def test_quadratic_example_stays_positive(self):
         p = builtin("example_6_1")
-        traj = zero_traj(p, 200)
-        triple = zero_triple(p, traj.grid, (0.5, 0.5))
-        result = worst_critical_direction(p, traj, triple, n_restarts=5, seed=2)
+        ws = zero_ws(p, 200)
+        triple = zero_triple(p, ws.traj.grid, (0.5, 0.5))
+        result = worst_critical_direction(ws, triple, n_restarts=5, seed=2)
         assert all(v > 0 for v in result.restart_values)
 
     def test_no_restarts_is_rejected(self):
         p = builtin("example_6_1")
-        traj = zero_traj(p, 20)
-        triple = zero_triple(p, traj.grid, (0.5, 0.5))
+        ws = zero_ws(p, 20)
+        triple = zero_triple(p, ws.traj.grid, (0.5, 0.5))
         with pytest.raises(ValueError, match="n_restarts"):
-            worst_critical_direction(p, traj, triple, n_restarts=0)
+            worst_critical_direction(ws, triple, n_restarts=0)
 
     def test_matches_dense_eigensolve_on_coarse_grid(self):
         # unconstrained-at-origin convex fixture; oracle assembles the reduced
@@ -267,8 +259,8 @@ class TestWorstDirection:
 
         lam_min = eigh(M, G, eigvals_only=True)[0]
         triple = zero_triple(p, traj.grid, (1.0,))
-        result = worst_critical_direction(p, traj, triple, n_restarts=4,
-                                          max_iters=500, seed=3)
+        result = worst_critical_direction(SecondOrderWorkspace(p, traj), triple,
+                                          n_restarts=4, max_iters=500, seed=3)
         assert result.q_value == pytest.approx(lam_min, abs=1e-6)
 
     def test_search_gradient_is_exact(self):
@@ -296,11 +288,9 @@ class TestWorstDirection:
 
 class TestRandomProbes:
     def test_probes_are_critical(self):
-        p = builtin("example_6_1")
-        traj = zero_traj(p, 100)
-        dirs = random_critical_directions(p, traj, 10, seed=0)
+        ws = zero_ws(builtin("example_6_1"), 100)
+        dirs = random_critical_directions(ws, 10, seed=0)
         assert len(dirs) == 10
-        ws = SecondOrderWorkspace(p, traj)
         for d in dirs:
             assert ws.membership(d, "sufficient", 1e-8, 1e-8).passed
 
@@ -330,9 +320,8 @@ class TestSimplexGrids:
 
 class TestSocnVerdict:
     def test_indefinite_example_violated_for_every_weight(self):
-        p = builtin("example_6_2")
-        traj = zero_traj(p, 400)
-        frag = socn_verdict(p, traj, [ramp_direction(traj.grid)])
+        ws = zero_ws(builtin("example_6_2"), 400)
+        frag = socn_verdict(ws, [ramp_direction(ws.traj.grid)])
         assert frag.verdict == "violated"
         entry = frag.results[0]
         qs = [row["q_value"] for row in entry["q_by_weight"] if row["kkt_passed"]]
@@ -344,25 +333,22 @@ class TestSocnVerdict:
         assert "direction" in entry
 
     def test_quadratic_example_holds_on_probes(self):
-        p = builtin("example_6_1")
-        traj = zero_traj(p, 100)
-        dirs = random_critical_directions(p, traj, 20, seed=5)
-        frag = socn_verdict(p, traj, dirs)
+        ws = zero_ws(builtin("example_6_1"), 100)
+        dirs = random_critical_directions(ws, 20, seed=5)
+        frag = socn_verdict(ws, dirs)
         assert frag.verdict == "holds"
         assert frag.tested == 20
 
     def test_empty_direction_list_is_vacuous(self):
-        p = builtin("example_6_1")
-        frag = socn_verdict(p, zero_traj(p, 50), [])
+        frag = socn_verdict(zero_ws(builtin("example_6_1"), 50), [])
         assert frag.verdict == "vacuous"
         assert frag.passed
 
     def test_non_critical_directions_skipped(self):
-        p = builtin("example_6_1")
-        traj = zero_traj(p, 50)
+        ws = zero_ws(builtin("example_6_1"), 50)
         k = 51
-        bad = Direction(traj.grid, np.ones((k, 2)), np.zeros((k, 2)))
-        frag = socn_verdict(p, traj, [bad])
+        bad = Direction(ws.traj.grid, np.ones((k, 2)), np.zeros((k, 2)))
+        frag = socn_verdict(ws, [bad])
         assert frag.verdict == "vacuous"
         assert frag.skipped[0]["reason"] == "not critical"
 
@@ -370,33 +356,32 @@ class TestSocnVerdict:
 class TestSocsVerdict:
     def test_quadratic_example_passes_with_caveat(self):
         p = builtin("example_6_1")
-        traj = zero_traj(p, 200)
-        triple = zero_triple(p, traj.grid, (0.5, 0.5))
-        frag = socs_verdict(p, traj, triple, gamma0=1.0, n_probes=8, seed=4)
+        ws = zero_ws(p, 200)
+        triple = zero_triple(p, ws.traj.grid, (0.5, 0.5))
+        frag = socs_verdict(ws, triple, gamma0=1.0, n_probes=8, seed=4)
         assert frag.passed
         assert "probed directions" in frag.caveat
         assert min(frag.search["restart_values"]) > 0
 
     def test_indefinite_example_fails_at_coercivity(self):
         p = builtin("example_6_2")
-        traj = zero_traj(p, 100)
-        triple = zero_triple(p, traj.grid, (0.5, 0.5))
-        frag = socs_verdict(p, traj, triple, gamma0=0.1, n_probes=4)
+        ws = zero_ws(p, 100)
+        triple = zero_triple(p, ws.traj.grid, (0.5, 0.5))
+        frag = socs_verdict(ws, triple, gamma0=0.1, n_probes=4)
         assert not frag.passed
         assert frag.failed_stage == "coercivity"
 
     def test_threshold_above_spectrum_fails_coercivity_kkt_passes(self):
         p = builtin("example_6_1")
-        traj = zero_traj(p, 100)
-        triple = zero_triple(p, traj.grid, (0.5, 0.5))
-        frag = socs_verdict(p, traj, triple, gamma0=3.0, n_probes=4)
+        ws = zero_ws(p, 100)
+        triple = zero_triple(p, ws.traj.grid, (0.5, 0.5))
+        frag = socs_verdict(ws, triple, gamma0=3.0, n_probes=4)
         assert frag.failed_stage == "coercivity"
         assert frag.kkt["passed"] is True
 
     def test_bad_triple_fails_at_kkt(self):
-        p = builtin("example_6_1")
-        traj = zero_traj(p, 100)
         k = 101
         triple = MultiplierTriple(np.array([0.5, 0.5]), np.zeros((k, 2)), -np.ones(k))
-        frag = socs_verdict(p, traj, triple, gamma0=1.0, n_probes=2)
+        frag = socs_verdict(zero_ws(builtin("example_6_1"), 100), triple, gamma0=1.0,
+                            n_probes=2)
         assert frag.failed_stage == "kkt"

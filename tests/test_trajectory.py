@@ -16,6 +16,7 @@ from paretocert.trajectory import (
     _AffineScan,
     build_fields,
     dynamics_jacobians,
+    hessian_blocks,
     integrate_state,
     l2_norm,
     linearized_state,
@@ -303,11 +304,12 @@ class TestFields:
         p = builtin("example_6_2")
         traj = zero_traj(p, 8)
         f = build_fields(p, traj)
+        h = hessian_blocks(p, traj)
         # running cost 1: x1^2 - u1^2, Hessian diag(2, 0, -2, 0) in (x1,x2,u1,u2)
-        np.testing.assert_allclose(f.Lhess[0, 3], np.diag([2.0, 0.0, -2.0, 0.0]))
+        np.testing.assert_allclose(h.L[0, 3], np.diag([2.0, 0.0, -2.0, 0.0]))
         np.testing.assert_allclose(f.gx[2], [1.0, 1.0])
         np.testing.assert_allclose(f.gu[2], [-1.0, -1.0])
-        np.testing.assert_allclose(f.ghess, 0.0)
+        np.testing.assert_allclose(h.g, 0.0)
 
     def test_jacobians_on_nonlinear_problem(self):
         p = builtin("damped_pendulum")
