@@ -50,6 +50,7 @@ __all__ = [
     "DerivTable",
     "deriv_table",
     "to_source",
+    "to_python",
     "compile_ast",
 ]
 
@@ -575,29 +576,43 @@ def to_source(ast: ExprAst) -> str:
 # Compilation (hot-path evaluation)
 
 
-def compile_ast(ast: ExprAst, variables: Sequence[str]) -> Callable:
-    """Compile to ``f(values)`` where ``values`` aligns with ``variables``.
+def to_python(ast: ExprAst, names: Mapping[str, str], namespace: str) -> str:
+    """Render an AST as one Python expression: variable ``v`` becomes
+    ``names[v]`` and function ``f`` becomes ``{namespace}.f``.
 
-    The compiled function skips the domain checks of :func:`evaluate`;
-    numeric trouble surfaces as inf/nan, which integration and field
-    evaluation guard with explicit finiteness checks.
+    This is the only code emitter; :func:`compile_ast` and the generated
+    integrator in :mod:`paretocert.trajectory` both use it, with different
+    names and function namespaces.  Every grammar operator becomes the
+    Python operator of the same meaning, with no domain checks.
     """
-    index = {name: i for i, name in enumerate(variables)}
 
     def emit(node: ExprAst) -> str:
         match node:
             case Const(value):
                 return repr(float(value))
             case Var(name):
-                return f"v[{index[name]}]"
+                return names[name]
             case Neg(arg):
                 return f"(-{emit(arg)})"
             case Call(fn, arg):
-                return f"_np.{fn}({emit(arg)})"
+                return f"{namespace}.{fn}({emit(arg)})"
             case Bin(op, left, right):
                 return f"({emit(left)} {op} {emit(right)})"
             case Pow(base, exponent):
                 return f"({emit(base)} ** {exponent})"
         raise TypeError(f"not an expression node: {node!r}")
 
-    return eval(f"lambda v: {emit(ast)}", {"_np": np})
+    return emit(ast)
+
+
+def compile_ast(ast: ExprAst, variables: Sequence[str]) -> Callable:
+    """Compile to ``f(values)`` where ``values`` aligns with ``variables``.
+
+    The body is :func:`to_python` with ``values[i]`` for the i-th variable
+    and numpy functions, so it broadcasts over arrays.  The compiled
+    function skips the domain checks of :func:`evaluate`; numeric trouble
+    surfaces as inf/nan, which integration and field evaluation guard with
+    explicit finiteness checks.
+    """
+    names = {name: f"v[{i}]" for i, name in enumerate(variables)}
+    return eval(f"lambda v: {to_python(ast, names, '_np')}", {"_np": np})

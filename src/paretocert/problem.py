@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
@@ -72,6 +73,14 @@ class Problem:
     def xu_variables(self) -> tuple[str, ...]:
         """Differentiation variables, state components first."""
         return self.variables[1:]
+
+    @cached_property
+    def rk4(self):
+        """The generated integrator loops of :func:`trajectory.compile_rk4`,
+        built on first use and dropped with the problem."""
+        from .trajectory import compile_rk4
+
+        return compile_rk4(self)
 
     def compiled(self, ast: ex.ExprAst):
         """Compiled evaluator for an AST, cached per problem.

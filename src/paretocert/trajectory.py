@@ -9,16 +9,29 @@ Discretisation conventions, used consistently everywhere:
   one-step method per interval, with node quantities averaged at the
   midpoint stage.
 
+The nonlinear state equation is integrated by one Python loop generated
+from the dynamics expressions (:func:`compile_rk4`) and cached on the
+problem.  It runs on Python floats, calling numpy's elementary functions;
+where Python float arithmetic raises (division by zero, overflow in a
+power) numpy would give inf or nan, so the integration runs again on numpy
+scalars.  Either way the states are bit for bit those of numpy arithmetic,
+and a non-finite state raises :class:`IntegrationError` at the first node
+that has one.  The linear equations run as banded triangular solves.
+
 All operations are pure functions of immutable inputs.
 """
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
 
+from . import expr as ex
 from .problem import Problem, node_values
 
 __all__ = [
@@ -30,6 +43,7 @@ __all__ = [
     "quadrature",
     "quad_weights",
     "l2_norm",
+    "compile_rk4",
     "integrate_state",
     "state_residual",
     "linearized_state",
@@ -135,40 +149,117 @@ def l2_norm(samples, grid: Grid) -> float:
 # State integration
 
 
+def _float_valued(ufunc):
+    return lambda x: float(ufunc(x))
+
+
+# numpy's own elementary functions, taking and returning Python floats.
+# math's are not numpy's on every CPU: where AVX-512 is present numpy's
+# float64 exp and log are its own SIMD code, which differs from libm in the
+# last bit for up to a few percent of arguments.
+_FLOAT_FUNCTIONS = SimpleNamespace(
+    isfinite=math.isfinite, **{name: _float_valued(getattr(np, name)) for name in ex.FUNCTIONS})
+
+
+def compile_rk4(problem: Problem):
+    """The whole RK4 loop of :func:`integrate_state`, generated from phi.
+
+    One Python source runs every step over scalars.  Each stage binds t,
+    x1..xn and u1..ul to locals and evaluates the phi components, written by
+    :func:`expr.to_python`; the step then combines the stages exactly as
+    ``x_k + (h/6)(k1 + 2 k2 + 2 k3 + k4)``.  The source is exec'd twice and
+    returned as ``(fast, exact)``: ``fast`` runs on Python floats and calls
+    numpy's functions through float-valued wrappers, ``exact`` runs on
+    ``np.float64`` values and calls the numpy functions directly.  Both have
+    the signature ``loop(ts, us, x0, h, rows)``: they extend ``rows`` (an
+    ``array("d")``) with the state at every node, node by node, and return
+    the first node whose state is not finite, or 0.
+    """
+    n, l = problem.n, problem.l
+    names = {v: v for v in problem.variables}
+    slopes = [ex.to_python(a, names, "_f") for a in problem.phi]
+    y = [f"y{i}" for i in range(1, n + 1)]
+    p = [f"p{j}" for j in range(1, l + 1)]
+    q = [f"q{j}" for j in range(1, l + 1)]
+
+    def unpack(targets):  # the trailing comma keeps n = 1 a tuple unpacking
+        return ", ".join(targets) + ","
+
+    def stage(s, t, x, u):
+        lines = [] if t is None else [f"t = {t}"]
+        lines += [f"x{i} = {xi}" for i, xi in enumerate(x, start=1)]
+        lines += [f"u{j} = {uj}" for j, uj in enumerate(u, start=1)]
+        return lines + [f"k{s}_{i} = {e}" for i, e in enumerate(slopes, start=1)]
+
+    def step_from(s, scale):
+        return [f"{yi} + {scale} * k{s}_{i}" for i, yi in enumerate(y, start=1)]
+
+    body = [
+        *stage(1, "tk", y, p),
+        *stage(2, "tk + h2", step_from(1, "h2"),
+               [f"0.5 * ({pj} + {qj})" for pj, qj in zip(p, q)]),
+        *stage(3, None, step_from(2, "h2"), []),  # t and u as in stage 2
+        *stage(4, "tk + h", step_from(3, "h"), q),
+        *(f"{yi} = {yi} + h6 * (k1_{i} + 2 * k2_{i} + 2 * k3_{i} + k4_{i})"
+          for i, yi in enumerate(y, start=1)),
+        f"if not ({' and '.join(f'_f.isfinite({yi})' for yi in y)}):",
+        "    return k",
+        f"rows.extend(({unpack(y)}))",
+        *(f"{pj} = {qj}" for pj, qj in zip(p, q)),
+    ]
+    source = "\n".join([
+        "def loop(ts, us, x0, h, rows):",
+        "    h2 = h / 2",
+        "    h6 = h / 6",
+        f"    {unpack(y)} = x0",
+        f"    rows.extend(({unpack(y)}))",
+        f"    {unpack(p)} = us[0]",
+        "    for k in range(1, len(ts)):",
+        "        tk = ts[k - 1]",
+        f"        {unpack(q)} = us[k]",
+        *(f"        {line}" for line in body),
+        "    return 0",
+    ])
+    code = compile(source, f"<rk4 {problem.name or 'problem'}>", "exec")
+    loops = []
+    for functions in (_FLOAT_FUNCTIONS, np):
+        scope = {"_f": functions}
+        exec(code, scope)
+        loops.append(scope["loop"])
+    return tuple(loops)
+
+
 def integrate_state(problem: Problem, u: np.ndarray, grid: Grid) -> Trajectory:
     """Integrate x' = phi(t, x, u(t)) from x(0) = x0 with nodal controls.
 
     One classical 4th-order step per interval; u is interpolated linearly
-    between nodes, so the midpoint stages see the node average.
+    between nodes, so the midpoint stages see the node average.  The loop is
+    the problem's generated :func:`compile_rk4` source, run first on Python
+    floats.  Python float arithmetic raises ``ZeroDivisionError`` or
+    ``OverflowError`` where numpy scalars give inf or nan; then the
+    integration runs again on ``np.float64`` values, so the states are
+    always those of numpy arithmetic (the arithmetic of
+    :func:`problem.node_values`), bit for bit.  Either run checks every
+    node, and the first non-finite state raises :class:`IntegrationError`
+    naming that node.  A subexpression made only of constants that divides
+    by zero raises ``ZeroDivisionError`` on both runs.
     """
     u = np.asarray(u, dtype=float)
     k_nodes = grid.n_intervals + 1
     if u.shape != (k_nodes, problem.l):
         raise GridMismatchError(f"control shape {u.shape} != {(k_nodes, problem.l)}")
-    fns = [problem.compiled(a) for a in problem.phi]
-    h = grid.h
+    fast, exact = problem.rk4
     t_nodes = grid.nodes
-    x = np.empty((k_nodes, problem.n))
-    x[0] = problem.x0
-
-    def f(t, xv, uv):
-        v = (t, *xv, *uv)
-        return np.array([fn(v) for fn in fns], dtype=float)
-
+    rows = array("d")
     with np.errstate(all="ignore"):
-        for k in range(grid.n_intervals):
-            tk = t_nodes[k]
-            uk, ue = u[k], u[k + 1]
-            um = 0.5 * (uk + ue)
-            xk = x[k]
-            k1 = f(tk, xk, uk)
-            k2 = f(tk + h / 2, xk + (h / 2) * k1, um)
-            k3 = f(tk + h / 2, xk + (h / 2) * k2, um)
-            k4 = f(tk + h, xk + h * k3, ue)
-            x[k + 1] = xk + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-            if not np.all(np.isfinite(x[k + 1])):
-                raise IntegrationError("non-finite state during integration", k + 1)
-    return Trajectory(grid, x, u.copy())
+        try:
+            bad = fast(t_nodes.tolist(), u.tolist(), problem.x0.tolist(), grid.h, rows)
+        except (ZeroDivisionError, OverflowError):
+            rows = array("d")
+            bad = exact(t_nodes, u, problem.x0, grid.h, rows)
+    if bad:
+        raise IntegrationError("non-finite state during integration", bad)
+    return Trajectory(grid, np.array(rows).reshape(k_nodes, problem.n), u.copy())
 
 
 def _phi_nodes(problem: Problem, traj: Trajectory) -> np.ndarray:
@@ -432,7 +523,11 @@ class HessianBlocks:
 
 
 def hessian_blocks(problem: Problem, traj: Trajectory) -> HessianBlocks:
-    """Hessian blocks at every node; only the second-order checks read them."""
+    """Hessian blocks at every node; only the second-order checks read them.
+
+    An entry whose tree equals its mirror's is copied from the mirror: equal
+    trees share one compiled evaluator, so the copy is the same bits.
+    """
     nl = problem.n + problem.l
     k = traj.grid.n_intervals + 1
 
@@ -440,7 +535,10 @@ def hessian_blocks(problem: Problem, traj: Trajectory) -> HessianBlocks:
         out = np.empty((k, nl, nl))
         for a in range(nl):
             for b in range(nl):
-                out[:, a, b] = node_values(problem, table.hess[a][b], traj)
+                if b < a and table.hess[a][b] == table.hess[b][a]:
+                    out[:, a, b] = out[:, b, a]
+                else:
+                    out[:, a, b] = node_values(problem, table.hess[a][b], traj)
         return out
 
     return HessianBlocks(

@@ -1,18 +1,24 @@
 """CLI exit codes, certificate schema, determinism, and audit round-trip."""
 
 import dataclasses
+import gc
 import json
+import os
 import subprocess
 import sys
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import paretocert
 from paretocert import expr, trajectory
+from paretocert import problem as problem_module
 from paretocert.certificate import recompute_overall_verdict
 from paretocert.cli import main
 from paretocert.kkt import KktWorkspace
-from paretocert.problem import builtin
+from paretocert.problem import builtin, load_problem
 from paretocert.trajectory import Grid, integrate_state
 
 
@@ -407,7 +413,7 @@ class TestConstructionContract:
     @pytest.fixture
     def calls(self, monkeypatch):
         calls = {"build_fields": 0, "BackwardLinearMap": 0, "LinearStateMap": 0,
-                 "apply_transpose": 0, "hessian_blocks": 0, "parse": 0,
+                 "apply_transpose": 0, "hessian_blocks": 0, "compile_rk4": 0, "parse": 0,
                  "differentiate": 0, "solve": []}
 
         def count(owner, name, key, record=None):
@@ -433,6 +439,7 @@ class TestConstructionContract:
 
         count(trajectory, "build_fields", "build_fields")
         count(trajectory, "hessian_blocks", "hessian_blocks")
+        count(trajectory, "compile_rk4", "compile_rk4")
         count(trajectory.BackwardLinearMap, "__init__", "BackwardLinearMap")
         count(trajectory.LinearStateMap, "__init__", "LinearStateMap")
         count(trajectory.LinearStateMap, "apply_transpose", "apply_transpose")
@@ -461,28 +468,29 @@ class TestConstructionContract:
     CASES = {
         "check-kkt": (["check-kkt", "{problem}", "--lambda", "0.5,0.5", "--grid", "100"],
                       dict(build_fields=1, BackwardLinearMap=1, LinearStateMap=0,
-                           apply_transpose=0, hessian_blocks=0, parse=PARSES)),
+                           apply_transpose=0, hessian_blocks=0, compile_rk4=1,
+                           parse=PARSES)),
         "check-socn-probes": (["check-socn", "{problem}", "--grid", "100", "--probes", "3"],
                               dict(build_fields=1, BackwardLinearMap=1, LinearStateMap=1,
-                                   hessian_blocks=1, parse=PARSES)),
+                                   hessian_blocks=1, compile_rk4=1, parse=PARSES)),
         "check-socn-directions": (["check-socn", "{problem}", "--grid", "100",
                                    "--directions", "{direction}"],
                                   dict(build_fields=1, BackwardLinearMap=1,
                                        LinearStateMap=1, apply_transpose=0,
-                                       hessian_blocks=1, parse=PARSES)),
+                                       hessian_blocks=1, compile_rk4=1, parse=PARSES)),
         "check-socs": (["check-socs", "{problem}", "--lambda", "0.5,0.5", "--gamma0", "1",
                         "--grid", "100", "--probes", "2", "--max-iters", "5"],
                        dict(build_fields=1, BackwardLinearMap=1, LinearStateMap=1,
-                            hessian_blocks=1, parse=PARSES)),
+                            hessian_blocks=1, compile_rk4=1, parse=PARSES)),
         "findim": (["findim", "{findim}", "--zbar", "0,0", "--steps", "4"],
                    dict(build_fields=0, BackwardLinearMap=0, LinearStateMap=0,
-                        hessian_blocks=0, parse=0)),
+                        hessian_blocks=0, compile_rk4=0, parse=0)),
         "integrate": (["integrate", "{problem}", "--grid", "20"],
                       dict(build_fields=0, BackwardLinearMap=0, LinearStateMap=0,
-                           hessian_blocks=0, parse=PARSES)),
+                           hessian_blocks=0, compile_rk4=1, parse=PARSES)),
         "show-builtin": (["show-builtin", "example_6_1"],
                          dict(build_fields=0, BackwardLinearMap=0, LinearStateMap=0,
-                              hessian_blocks=0)),
+                              hessian_blocks=0, compile_rk4=0)),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -493,6 +501,26 @@ class TestConstructionContract:
         assert {key: calls[key] for key in expected} == expected
         # each weight's multipliers are solved at most once per request
         assert len(calls["solve"]) == len(set(calls["solve"]))
+
+    def test_builtin_generates_integrator_once(self, capsys, calls, monkeypatch):
+        monkeypatch.setattr(problem_module, "_BUILTIN_CACHE", {})
+        counts = []
+        for _ in range(2):
+            code, _, err = run_cli(capsys, "check-kkt", "builtin:example_6_1",
+                                   "--lambda", "0.5,0.5", "--grid", "50")
+            assert code == 0, err
+            counts.append(calls["compile_rk4"])
+        assert counts == [1, 1]
+
+    def test_integrated_problem_is_not_kept_alive(self, files):
+        with open(files["problem"], encoding="utf-8") as fh:
+            problem = load_problem(fh.read())
+        integrate_state(problem, np.zeros((21, problem.l)), Grid(20))
+        assert problem.__dict__.get("rk4") is not None
+        ref = weakref.ref(problem)
+        del problem
+        gc.collect()
+        assert ref() is None
 
     def test_field_table_holds_no_hessians(self):
         problem = builtin("example_6_2")
@@ -515,19 +543,29 @@ class TestConstructionContract:
 
 
 class TestSubprocessEntry:
-    def test_module_invocation(self, tmp_path):
+    @pytest.fixture
+    def env(self):
+        """Environment in which ``python -m paretocert`` imports the package
+        these tests import, whether or not PYTHONPATH names it."""
+        src = str(Path(paretocert.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return env
+
+    def test_module_invocation(self, env):
         proc = subprocess.run(
             [sys.executable, "-m", "paretocert", "check-kkt", "builtin:example_6_1",
              "--lambda", "0.7071,0.7071", "--grid", "80"],
-            capture_output=True, text=True, timeout=120,
+            capture_output=True, text=True, timeout=120, env=env,
         )
         assert proc.returncode == 0, proc.stderr
         cert = json.loads(proc.stdout)
         assert cert["overall_verdict"] == "kkt-pass"
 
-    def test_usage_error_exit_code(self):
+    def test_usage_error_exit_code(self, env):
         proc = subprocess.run(
             [sys.executable, "-m", "paretocert", "check-kkt"],
-            capture_output=True, text=True, timeout=60,
+            capture_output=True, text=True, timeout=60, env=env,
         )
         assert proc.returncode == 1
+        assert "required: problem" in proc.stderr

@@ -1,10 +1,12 @@
 """Integration, quadrature, linearized dynamics, and their transposes."""
 
+from array import array
+
 import numpy as np
 import pytest
 
 from paretocert import trajectory
-from paretocert.problem import builtin, load_problem
+from paretocert.problem import builtin, load_problem, node_values
 from paretocert.trajectory import (
     BackwardLinearMap,
     Direction,
@@ -28,6 +30,63 @@ from paretocert.trajectory import (
 def zero_traj(problem, n):
     grid = Grid(n)
     return integrate_state(problem, np.zeros((n + 1, problem.l)), grid)
+
+
+def reference_states(problem, u, grid):
+    """The per-stage numpy loop that integrate_state replaced: every stage
+    calls the compiled numpy lambdas on np.float64 scalars."""
+    fns = [problem.compiled(a) for a in problem.phi]
+    h = grid.h
+    t_nodes = grid.nodes
+    x = np.empty((grid.n_intervals + 1, problem.n))
+    x[0] = problem.x0
+
+    def f(t, xv, uv):
+        v = (t, *xv, *uv)
+        return np.array([fn(v) for fn in fns], dtype=float)
+
+    with np.errstate(all="ignore"):
+        for k in range(grid.n_intervals):
+            tk = t_nodes[k]
+            uk, ue = u[k], u[k + 1]
+            um = 0.5 * (uk + ue)
+            xk = x[k]
+            k1 = f(tk, xk, uk)
+            k2 = f(tk + h / 2, xk + (h / 2) * k1, um)
+            k3 = f(tk + h / 2, xk + (h / 2) * k2, um)
+            k4 = f(tk + h, xk + h * k3, ue)
+            x[k + 1] = xk + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+            if not np.all(np.isfinite(x[k + 1])):
+                raise IntegrationError("non-finite state during integration", k + 1)
+    return x
+
+
+def scalar_problem(phi, x0=1.0):
+    return load_problem({"n": 1, "l": 1, "m": 1, "x0": [x0], "L": ["x1^2"],
+                         "phi": [phi], "g": "u1 - 10"})
+
+
+# 6-state chain with sin, exp, division and powers; numpy's float64 exp is not
+# libm's on every CPU, so this also pins which exp the integrator calls
+CHAIN_DOC = {
+    "n": 6, "l": 2, "m": 1,
+    "x0": [0.3, -0.2, 0.5, 0.1, -0.4, 0.25],
+    "L": ["x1^2 + u1^2"],
+    "phi": [
+        "0.7 * sin(x2) - x1 + u1",
+        "0.4 * x1 * x3 + exp(-x2^2) - x2",
+        "x2^2 + 1.3 * x4 - x3 + cos(t)",
+        "0.9 * sin(x5) - x4^3 / (1 + x4^2)",
+        "x4 * x6 + exp(0.5 * x6) - x5",
+        "1.1 * x5^2 - x6 + 0.8 * u2",
+    ],
+    "g": "x1 - u1 - u2",
+}
+
+
+def smooth_controls(grid, l):
+    t = grid.nodes
+    return np.stack([0.5 * np.sin(3 * t + j) + 0.2 * np.cos(7 * t) for j in range(l)], axis=1)
 
 
 class TestQuadrature:
@@ -94,8 +153,56 @@ class TestIntegrateState:
             "g": "u1 - 10",
         }
         p = load_problem(doc)
-        with pytest.raises(IntegrationError):
+        with pytest.raises(IntegrationError) as err:
             integrate_state(p, np.zeros((101, 1)), Grid(100))
+        assert err.value.node == 1
+
+    @pytest.mark.parametrize("phi, x0, node", [
+        ("1/(0.5 - t)", 1.0, 5),
+        ("log(1 - t) + u1", 1.0, 10),
+        ("x1^40", 1e9, 1),
+        ("exp(x1)", 800.0, 1),
+    ])
+    def test_failure_node_matches_reference(self, phi, x0, node):
+        p = scalar_problem(phi, x0)
+        grid = Grid(10)
+        u = np.full((11, 1), 0.4)
+        with pytest.raises(IntegrationError) as err:
+            integrate_state(p, u, grid)
+        assert err.value.node == node
+        with pytest.raises(IntegrationError) as ref:
+            reference_states(p, u, grid)
+        assert ref.value.node == node
+
+    def test_inf_inside_a_finite_stage_is_kept(self):
+        # -1/x1^2 is -inf at x1 = 0 and exp(-inf) = 0: numpy arithmetic keeps
+        # x at zero, while Python float division raises
+        p = scalar_problem("exp(-1 / x1^2)", 0.0)
+        traj = integrate_state(p, np.zeros((101, 1)), Grid(100))
+        assert traj.x.tobytes() == np.zeros((101, 1)).tobytes()
+
+    @pytest.mark.parametrize("case", [
+        "example_6_1", "example_6_2", "damped_pendulum", "scalar", "chain"])
+    def test_matches_reference_loop(self, case):
+        p = {"scalar": lambda: scalar_problem("x1 * cos(t) - x1^3 + log(2 + u1)"),
+             "chain": lambda: load_problem(CHAIN_DOC)}.get(case, lambda: builtin(case))()
+        for grid in (Grid(50), Grid(300)):
+            u = smooth_controls(grid, p.l)
+            got = integrate_state(p, u, grid).x
+            assert np.abs(got).max() > 0.1
+            assert got.tobytes() == reference_states(p, u, grid).tobytes()
+
+    def test_numpy_rerun_matches_fast_path(self):
+        p = load_problem(CHAIN_DOC)
+        grid = Grid(50)
+        u = smooth_controls(grid, p.l)
+        fast, exact = p.rk4
+        fast_rows, exact_rows = array("d"), array("d")
+        with np.errstate(all="ignore"):
+            assert fast(grid.nodes.tolist(), u.tolist(), p.x0.tolist(), grid.h, fast_rows) == 0
+            assert exact(grid.nodes, u, p.x0, grid.h, exact_rows) == 0
+        assert len(fast_rows) == 51 * 6
+        assert fast_rows.tobytes() == exact_rows.tobytes()
 
     def test_shape_checked(self):
         p = builtin("example_6_1")
@@ -310,6 +417,39 @@ class TestFields:
         np.testing.assert_allclose(f.gx[2], [1.0, 1.0])
         np.testing.assert_allclose(f.gu[2], [-1.0, -1.0])
         np.testing.assert_allclose(h.g, 0.0)
+
+    def test_mirrored_hessian_entries_are_copied(self, monkeypatch):
+        p = builtin("example_6_1")
+        grid = Grid(12)
+        traj = integrate_state(p, smooth_controls(grid, p.l), grid)
+        calls = []
+
+        def counted(problem, ast, tr):
+            calls.append(ast)
+            return node_values(problem, ast, tr)
+
+        monkeypatch.setattr(trajectory, "node_values", counted)
+        hessian_blocks(p, traj)
+        # 5 blocks (2 costs, 2 dynamics, 1 constraint) of 4 x 4 entries, with
+        # the 6 entries below each diagonal copied from their mirrors
+        assert len(calls) == 50
+
+    @pytest.mark.parametrize("name", ["example_6_1", "damped_pendulum"])
+    def test_hessian_blocks_equal_full_evaluation(self, name):
+        p = builtin(name)
+        grid = Grid(12)
+        traj = integrate_state(p, smooth_controls(grid, p.l), grid)
+        h = hessian_blocks(p, traj)
+        nl = p.n + p.l
+
+        def full(table):
+            return np.stack([np.stack([node_values(p, table.hess[a][b], traj)
+                                       for b in range(nl)], axis=1)
+                             for a in range(nl)], axis=1)
+
+        np.testing.assert_array_equal(h.L, np.stack([full(t) for t in p.L_derivs]))
+        np.testing.assert_array_equal(h.phi, np.stack([full(t) for t in p.phi_derivs]))
+        np.testing.assert_array_equal(h.g, full(p.g_derivs))
 
     def test_jacobians_on_nonlinear_problem(self):
         p = builtin("damped_pendulum")
