@@ -15,6 +15,7 @@ from .expr import (
     to_source,
 )
 from .findim import (
+    FinDimPoint,
     FinDimProblem,
     MultiplierPair,
     load_findim_problem,

@@ -3,8 +3,9 @@
 Exit codes: 0 = checks passed, 2 = a check failed and the certificate says
 why, 1 = usage or input error.  Certificates go to stdout (or --out) and are
 byte-deterministic for fixed inputs and --seed, apart from the wall_time_s
-field; findim draws no random numbers, takes no --seed and records seed and
-grid_n as null.
+field.  Only check-socn and check-socs draw random numbers or read an
+activity threshold, so only they take --seed and --eps-act; check-kkt and
+findim record seed as null, and findim records grid_n as null too.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 from . import certificate as cert
 from .findim import (
     FinDimFormatError,
+    FinDimPoint,
     InfeasiblePointError,
     NotCriticalError,
     load_findim_problem,
@@ -157,15 +159,16 @@ def _gate_fragments(ws: KktWorkspace, tols) -> dict:
     return {"feasibility": feasibility, "h2": ws.h2.to_dict()}
 
 
-def _finish(args, command, problem, fragments, grid_n, tols, parameters, started):
+def _finish(args, command, fragments, tolerances, parameters, started, *,
+            name, digest, grid_n, seed):
     certificate = cert.assemble(
         command=command,
         fragments=fragments,
-        problem_name=problem.name,
-        problem_digest=cert.problem_hash(problem),
+        problem_name=name,
+        problem_digest=digest,
         grid_n=grid_n,
-        tolerances=tols.to_dict(),
-        seed=args.seed,
+        tolerances=tolerances,
+        seed=seed,
         parameters=parameters,
         wall_time_s=time.perf_counter() - started,
     )
@@ -189,8 +192,9 @@ def _cmd_check_kkt(args) -> int:
     _, _, report = ws.solve(lam, tols)
     fragments["kkt"] = report.to_dict()
     params = {"lambda": [float(v) for v in lam]}
-    return _finish(args, "check-kkt", problem, fragments,
-                   traj.grid.n_intervals, tols, params, started)
+    return _finish(args, "check-kkt", fragments, tols.to_dict(), params, started,
+                   name=problem.name, digest=cert.problem_hash(problem),
+                   grid_n=traj.grid.n_intervals, seed=None)
 
 
 def _cmd_check_socn(args) -> int:
@@ -225,8 +229,9 @@ def _cmd_check_socn(args) -> int:
         fragments["socn"] = {"verdict": "gated", "tested": 0, "skipped": [],
                              "results": [], "weight_grid": [], "tol": args.tol,
                              "note": "gates failed; sweep not run"}
-    return _finish(args, "check-socn", problem, fragments,
-                   traj.grid.n_intervals, tols, params, started)
+    return _finish(args, "check-socn", fragments, tols.to_dict(), params, started,
+                   name=problem.name, digest=cert.problem_hash(problem),
+                   grid_n=traj.grid.n_intervals, seed=args.seed)
 
 
 def _cmd_check_socs(args) -> int:
@@ -255,8 +260,9 @@ def _cmd_check_socs(args) -> int:
         fragments["socs"] = {"verdict": "gated", "failed_stage": "gates",
                              "kkt": None, "coercivity": None, "search": None,
                              "caveat": "", "tol": args.tol}
-    return _finish(args, "check-socs", problem, fragments,
-                   traj.grid.n_intervals, tols, params, started)
+    return _finish(args, "check-socs", fragments, tols.to_dict(), params, started,
+                   name=problem.name, digest=cert.problem_hash(problem),
+                   grid_n=traj.grid.n_intervals, seed=args.seed)
 
 
 def _cmd_findim(args) -> int:
@@ -284,9 +290,10 @@ def _cmd_findim(args) -> int:
         if len(d) != problem.nz:
             raise _UsageError(f"--dir needs {problem.nz} entries")
 
+    point = FinDimPoint(problem, zbar)
     fragments = {}
     try:
-        robinson = robinson_check(problem, zbar)
+        robinson = robinson_check(point)
     except InfeasiblePointError as err:
         raise _InputError(str(err))
     fragments["robinson"] = robinson.to_dict()
@@ -294,14 +301,14 @@ def _cmd_findim(args) -> int:
     dir_entries = []
     oracle_value = None
     if robinson.passed:
-        pairs = multiplier_set_sample(problem, zbar, n_lambda=args.lambda_grid,
+        pairs = multiplier_set_sample(point, n_lambda=args.lambda_grid,
                                       resid_tol=args.tol)
         any_failure = False
         for i, d in enumerate(directions):
             entry = {"index": i, "direction": [float(v) for v in d]}
             try:
                 curvature, verdict = second_order_necessary_check(
-                    problem, zbar, d, pairs, tol=args.tol)
+                    point, d, pairs, tol=args.tol)
             except NotCriticalError as err:
                 entry["critical"] = False
                 entry["note"] = str(err)
@@ -311,7 +318,7 @@ def _cmd_findim(args) -> int:
                 entry["verdict"] = bool(verdict)
                 any_failure = any_failure or not verdict
             dir_entries.append(entry)
-        oracle_value = weak_pareto_oracle(problem, zbar, radius=args.radius,
+        oracle_value = weak_pareto_oracle(point, radius=args.radius,
                                           steps=args.steps)
         fragments["oracle"] = {"weak_pareto": bool(oracle_value),
                                "radius": args.radius, "steps": args.steps}
@@ -329,21 +336,10 @@ def _cmd_findim(args) -> int:
     fragments["multipliers"] = {"count": len(pairs),
                                 "pairs": [p.to_dict() for p in pairs]}
     fragments["directions"] = dir_entries
-
-    certificate = cert.assemble(
-        command="findim",
-        fragments=fragments,
-        problem_name=None,
-        problem_digest=cert.findim_hash(problem),
-        grid_n=None,
-        tolerances={"tol": args.tol},
-        seed=None,
-        parameters={"zbar": [float(v) for v in zbar], "radius": args.radius,
-                    "steps": args.steps, "lambda_grid": args.lambda_grid},
-        wall_time_s=time.perf_counter() - started,
-    )
-    _emit(args, cert.dumps(certificate))
-    return 0 if certificate["overall_verdict"] == "findim-pass" else 2
+    params = {"zbar": [float(v) for v in zbar], "radius": args.radius,
+              "steps": args.steps, "lambda_grid": args.lambda_grid}
+    return _finish(args, "findim", fragments, {"tol": args.tol}, params, started,
+                   name=None, digest=cert.findim_hash(problem), grid_n=None, seed=None)
 
 
 def _cmd_integrate(args) -> int:
@@ -398,13 +394,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", type=int, default=1000,
                        help="grid intervals when no trajectory file is given")
         p.add_argument("--tol", type=float, default=1e-8, help="residual tolerance")
-        p.add_argument("--eps-act", type=float, default=1e-8, dest="eps_act",
-                       help="constraint activity threshold")
-        p.add_argument("--seed", type=int, default=42)
         p.add_argument("--out", help="certificate output path (default stdout)")
         if needs_lambda:
             p.add_argument("--lambda", dest="lam",
                            help="comma-separated objective weights")
+
+    def second_order(p):
+        p.add_argument("--eps-act", type=float, default=1e-8, dest="eps_act",
+                       help="constraint activity threshold")
+        p.add_argument("--seed", type=int, default=42)
 
     p = sub.add_parser("check-kkt", help="first-order (KKT) residual check")
     common(p, needs_lambda=True)
@@ -412,6 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-socn", help="second-order necessary condition sweep")
     common(p)
+    second_order(p)
     p.add_argument("--directions", help="direction file (JSON object or list)")
     p.add_argument("--probes", type=int, default=50,
                    help="random critical probes when no direction file is given")
@@ -421,6 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-socs", help="second-order sufficient condition check")
     common(p, needs_lambda=True)
+    second_order(p)
     p.add_argument("--gamma0", type=float, help="control-coercivity threshold")
     p.add_argument("--probes", type=int, default=50, help="worst-direction restarts")
     p.add_argument("--max-iters", type=int, default=100, dest="max_iters",

@@ -15,14 +15,22 @@ cone to the nonpositive orthant makes every ingredient finitely checkable:
   grid enumeration, usable up to four variables.
 
 Loading builds one derivative table per expression (``expr.deriv_table``,
-as for the control problems).  The oracle evaluates on an open grid, one
-coordinate axis per variable, and broadcasting spans the full grid.
+as for the control problems).  A request holds one ``FinDimPoint``: zbar
+with f, G, the active set and the Jacobians and Hessians of f and G there,
+each evaluated on first use.  Every check takes the point as its first
+argument, so the regularity check, the multiplier sample, every direction
+and the oracle's reference values read the same numbers, and the first
+quantity that fails to evaluate names the expression at fault.  The
+activity threshold and the feasibility margins are module constants.  The
+oracle evaluates on an open grid, one coordinate axis per variable, and
+broadcasting spans the full grid.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -33,6 +41,7 @@ from .simplex import unit_weight_grid
 
 __all__ = [
     "FinDimProblem",
+    "FinDimPoint",
     "MultiplierPair",
     "RobinsonReport",
     "FinDimFormatError",
@@ -58,10 +67,17 @@ class NotCriticalError(ValueError):
     pass
 
 
+# Activity threshold of G at zbar, and the feasibility margins of the
+# regularity check at zbar and of the oracle's grid points.
+ACT_TOL = 1e-10
+ROBINSON_FEAS_TOL = 1e-9
+ORACLE_FEAS_TOL = 1e-12
+
+
 @dataclass(frozen=True, eq=False)
 class FinDimProblem:
     """min f(z) s.t. G(z) <= 0 over z1..znz.  The derivative tables are built
-    at load; Jacobians and Hessians evaluate their trees at a point."""
+    at load; ``FinDimPoint`` evaluates them at a point."""
 
     nz: int
     m: int
@@ -78,27 +94,46 @@ class FinDimProblem:
     def variables(self) -> tuple[str, ...]:
         return tuple(f"z{i}" for i in range(1, self.nz + 1))
 
-    def _values(self, asts, z) -> np.ndarray:
-        env = dict(zip(self.variables, z))
-        return np.array([ex.evaluate(a, env) for a in asts], dtype=float)
-
     def f_value(self, z) -> np.ndarray:
-        return self._values(self.f, z)
+        return FinDimPoint(self, z).f
 
     def g_value(self, z) -> np.ndarray:
-        return self._values(self.G, z)
+        return FinDimPoint(self, z).g
 
-    def f_jacobian(self, z) -> np.ndarray:
-        return np.array([self._values(t.grad, z) for t in self.f_derivs])
 
-    def g_jacobian(self, z) -> np.ndarray:
-        return np.array([self._values(t.grad, z) for t in self.G_derivs])
+def _at_zbar(trees_of):
+    """Cached point property: the values at zbar of ``trees_of(problem)``."""
+    return cached_property(lambda point: point._evaluate(trees_of(point.problem)))
 
-    def f_hessians(self, z) -> np.ndarray:
-        return np.array([[self._values(row, z) for row in t.hess] for t in self.f_derivs])
 
-    def g_hessians(self, z) -> np.ndarray:
-        return np.array([[self._values(row, z) for row in t.hess] for t in self.G_derivs])
+class FinDimPoint:
+    """A program at one point zbar, with f, G, the active set and the
+    Jacobians and Hessians of f and G there, each evaluated on first use and
+    kept; every check of a request reads the same point."""
+
+    def __init__(self, problem: FinDimProblem, zbar):
+        self.problem, self.z = problem, np.asarray(zbar, dtype=float)
+        self.m, self.nz = problem.m, problem.nz
+
+    def _evaluate(self, trees) -> np.ndarray:
+        """Values at zbar of nested tuples of trees, as an array of that shape."""
+        env = dict(zip(self.problem.variables, self.z))
+
+        def walk(node):
+            return [walk(t) for t in node] if isinstance(node, tuple) else ex.evaluate(node, env)
+
+        return np.array(walk(trees), dtype=float)
+
+    f = _at_zbar(lambda p: p.f)
+    g = _at_zbar(lambda p: p.G)
+    f_jacobian = _at_zbar(lambda p: tuple(t.grad for t in p.f_derivs))
+    g_jacobian = _at_zbar(lambda p: tuple(t.grad for t in p.G_derivs))
+    f_hessians = _at_zbar(lambda p: tuple(t.hess for t in p.f_derivs))
+    g_hessians = _at_zbar(lambda p: tuple(t.hess for t in p.G_derivs))
+
+    @cached_property
+    def active(self) -> np.ndarray:
+        return np.flatnonzero(self.g >= -ACT_TOL)
 
 
 _SCHEMA_FIELDS = {"nz", "m", "f", "G"}
@@ -170,12 +205,7 @@ class RobinsonReport:
         }
 
 
-def robinson_check(
-    problem: FinDimProblem,
-    zbar,
-    feas_tol: float = 1e-9,
-    act_tol: float = 1e-10,
-) -> RobinsonReport:
+def robinson_check(point: FinDimPoint) -> RobinsonReport:
     """Regularity at zbar for the orthant cone.
 
     Reduces to finding d with grad G_k(zbar) . d < 0 for every active k,
@@ -183,15 +213,14 @@ def robinson_check(
     passes iff the optimum is strictly positive.  A feasible point with no
     active constraints passes trivially.
     """
-    zbar = np.asarray(zbar, dtype=float)
-    g = problem.g_value(zbar)
-    if np.any(g > feas_tol):
+    g = point.g
+    if np.any(g > ROBINSON_FEAS_TOL):
         raise InfeasiblePointError(f"G(zbar) = {g.tolist()} violates feasibility")
-    active = np.flatnonzero(g >= -act_tol)
+    active = point.active
     if len(active) == 0:
         return RobinsonReport(True, np.inf, None, active)
-    rows = problem.g_jacobian(zbar)[active]
-    nz = problem.nz
+    rows = point.g_jacobian[active]
+    nz = point.nz
     # variables (d, s): minimize -s subject to rows @ d + s <= 0
     c = np.zeros(nz + 1)
     c[-1] = -1.0
@@ -232,32 +261,21 @@ class MultiplierPair:
         }
 
 
-def multiplier_set_sample(
-    problem: FinDimProblem,
-    zbar,
-    n_lambda: int = 21,
-    resid_tol: float = 1e-8,
-    act_tol: float = 1e-10,
-) -> list[MultiplierPair]:
+def multiplier_set_sample(point: FinDimPoint, n_lambda: int = 21,
+                          resid_tol: float = 1e-8) -> list[MultiplierPair]:
     """Sample the normalized multiplier set on a weight grid.
 
     For each unit-norm weight, the orthant multipliers on the active rows
     minimize the stationarity residual in the least-squares sense subject to
     e >= 0 (Lawson-Hanson active-set iteration); pairs whose residual exceeds
-    resid_tol are discarded.  An empty list is itself diagnostic.  f is
-    evaluated at zbar first, so a domain error there names f itself rather
-    than one of its derivatives.
+    resid_tol are discarded.  An empty list is itself diagnostic.
     """
-    zbar = np.asarray(zbar, dtype=float)
-    problem.f_value(zbar)
-    fj = problem.f_jacobian(zbar)
-    gj = problem.g_jacobian(zbar)
-    g = problem.g_value(zbar)
-    active = np.flatnonzero(g >= -act_tol)
+    point.f  # before its derivatives, so that a domain error names f
+    fj, gj, active = point.f_jacobian, point.g_jacobian, point.active
     pairs = []
-    for lam in unit_weight_grid(problem.m, n_lambda):
+    for lam in unit_weight_grid(point.m, n_lambda):
         b = -(lam @ fj)
-        e = np.zeros(problem.nE)
+        e = np.zeros(point.problem.nE)
         if len(active) > 0:
             sol, _ = nnls(gj[active].T, b)
             e[active] = sol
@@ -271,14 +289,8 @@ def multiplier_set_sample(
 # Second-order necessary test and brute-force oracle
 
 
-def second_order_necessary_check(
-    problem: FinDimProblem,
-    zbar,
-    d,
-    pairs: list[MultiplierPair],
-    tol: float = 1e-9,
-    act_tol: float = 1e-10,
-):
+def second_order_necessary_check(point: FinDimPoint, d, pairs: list[MultiplierPair],
+                                 tol: float = 1e-9):
     """Max Lagrangian curvature along d over the sampled pairs.
 
     d must be critical: grad f(zbar) d <= tol componentwise and
@@ -287,15 +299,11 @@ def second_order_necessary_check(
     list.  Returns (max_curvature, verdict) with verdict true iff some pair
     gives curvature >= -tol.
     """
-    zbar = np.asarray(zbar, dtype=float)
     d = np.asarray(d, dtype=float)
-    fj = problem.f_jacobian(zbar)
-    gj = problem.g_jacobian(zbar)
-    g = problem.g_value(zbar)
+    fj, gj, active = point.f_jacobian, point.g_jacobian, point.active
     f_dir = fj @ d
     if np.any(f_dir > tol):
         raise NotCriticalError(f"objective decrease fails: grad f . d = {f_dir.tolist()}")
-    active = np.flatnonzero(g >= -act_tol)
     if len(active) > 0:
         g_dir = gj[active] @ d
         if np.any(g_dir > tol):
@@ -304,22 +312,14 @@ def second_order_necessary_check(
             )
     if not pairs:
         return -np.inf, False
-    fh = problem.f_hessians(zbar)
-    gh = problem.g_hessians(zbar)
-    f_curv = np.array([d @ h @ d for h in fh])
-    g_curv = np.array([d @ h @ d for h in gh])
+    f_curv = np.array([d @ h @ d for h in point.f_hessians])
+    g_curv = np.array([d @ h @ d for h in point.g_hessians])
     values = [float(pair.lam @ f_curv + pair.e @ g_curv) for pair in pairs]
     max_curvature = max(values)
     return max_curvature, bool(max_curvature >= -tol)
 
 
-def weak_pareto_oracle(
-    problem: FinDimProblem,
-    zbar,
-    radius: float,
-    steps: int,
-    feas_tol: float = 1e-12,
-) -> bool:
+def weak_pareto_oracle(point: FinDimPoint, radius: float, steps: int) -> bool:
     """Brute-force local weak-Pareto test by grid enumeration.
 
     Scans the uniform grid of (2*steps+1)^nz points in the inf-ball of the
@@ -331,20 +331,19 @@ def weak_pareto_oracle(
         raise ValueError("radius must be positive")
     if steps < 3:
         raise ValueError("steps must be at least 3")
+    problem, zbar = point.problem, point.z
     if problem.nz > 4:
         raise ValueError("oracle limited to nz <= 4 (grid blowup)")
-    zbar = np.asarray(zbar, dtype=float)
     offsets = np.linspace(-radius, radius, 2 * steps + 1)
     axes = np.ix_(*[zbar[i] + offsets for i in range(problem.nz)])
     env = dict(zip(problem.variables, axes))
     feasible = np.ones((len(offsets),) * problem.nz, dtype=bool)
     for a in problem.G:
-        feasible &= np.asarray(ex.evaluate(a, env)) <= feas_tol
+        feasible &= np.asarray(ex.evaluate(a, env)) <= ORACLE_FEAS_TOL
     if not np.any(feasible):
         return True
-    f_ref = problem.f_value(zbar)
     dominates = feasible.copy()
-    for a, ref in zip(problem.f, f_ref):
+    for a, ref in zip(problem.f, point.f):
         dominates &= np.asarray(ex.evaluate(a, env)) < ref - 1e-12
         if not np.any(dominates):
             return True

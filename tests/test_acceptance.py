@@ -14,6 +14,7 @@ import pytest
 from paretocert import expr as ex
 from paretocert.cli import main
 from paretocert.findim import (
+    FinDimPoint,
     load_findim_problem,
     multiplier_set_sample,
     robinson_check,
@@ -262,15 +263,15 @@ def test_criterion_7_finite_dimensional_soundness_link():
     failures_seen = 0
     for doc, zbar, directions in FINDIM_FIXTURES:
         problem = load_findim_problem(doc)
-        zbar = np.asarray(zbar, dtype=float)
-        assert robinson_check(problem, zbar).passed
-        pairs = multiplier_set_sample(problem, zbar, n_lambda=21)  # grid step 0.05
+        point = FinDimPoint(problem, np.asarray(zbar, dtype=float))
+        assert robinson_check(point).passed
+        pairs = multiplier_set_sample(point, n_lambda=21)  # grid step 0.05
         assert pairs
         for d in directions:
-            _, verdict = second_order_necessary_check(problem, zbar, d, pairs)
+            _, verdict = second_order_necessary_check(point, d, pairs)
             if not verdict:
                 failures_seen += 1
-                if weak_pareto_oracle(problem, zbar, radius=0.4, steps=12):
+                if weak_pareto_oracle(point, radius=0.4, steps=12):
                     counterexamples += 1
     elapsed = time.perf_counter() - started
     ok = counterexamples == 0 and failures_seen >= 2 and elapsed < 60.0

@@ -59,7 +59,7 @@ def test_traced_requests_feed_every_hook(layers, capsys, tmp_path):
          "--lambda-grid", "3"],
         ["check-socs", "builtin:example_6_1", "--lambda", "0.5,0.5", "--gamma0", "1",
          "--grid", "40", "--probes", "2", "--max-iters", "5"],
-        ["findim", str(findim_doc), "--zbar", "0,0", "--steps", "4"],
+        ["findim", str(findim_doc), "--zbar", "0,0", "--steps", "4", "--dir", "0,1"],
     ]
     tracer = layers.Tracer()
     tracer.install(layers.targets(tracer))
@@ -73,3 +73,5 @@ def test_traced_requests_feed_every_hook(layers, capsys, tmp_path):
     assert values["kkt.solve.calls"] > 0
     assert values["second_order.random_directions.accept_ratio"] > 0
     assert values["findim.oracle.points"] > 0
+    assert values["findim.multiplier_sample.kept_ratio"] > 0
+    assert tracer.calls["findim.necessary_check"] > 0

@@ -1,5 +1,6 @@
 """CLI exit codes, certificate schema, determinism, and audit round-trip."""
 
+import collections
 import dataclasses
 import gc
 import json
@@ -17,6 +18,7 @@ from paretocert import expr, trajectory
 from paretocert import problem as problem_module
 from paretocert.certificate import recompute_overall_verdict
 from paretocert.cli import main
+from paretocert.findim import FinDimPoint
 from paretocert.kkt import KktWorkspace
 from paretocert.problem import builtin, load_problem
 from paretocert.trajectory import Grid, integrate_state
@@ -84,6 +86,21 @@ class TestCheckKkt:
                                "--lambda", "0.5,0.5")
         assert code == 1
         assert "example_6_1" in err
+
+    def test_certificate_records_no_seed(self, capsys):
+        # check-kkt draws no random numbers
+        code, out, err = run_cli(capsys, "check-kkt", "builtin:example_6_1",
+                                 "--lambda", "0.5,0.5", "--grid", "60")
+        assert code == 0, err
+        assert load_cert(out)["seed"] is None
+
+    @pytest.mark.parametrize("flag", ["--seed=7", "--eps-act=1e-6"])
+    def test_unread_flag_is_usage_error(self, capsys, flag):
+        code, out, err = run_cli(capsys, "check-kkt", "builtin:example_6_1",
+                                 "--lambda", "0.5,0.5", "--grid", "60", flag)
+        assert code == 1
+        assert out == ""
+        assert flag.split("=")[0] in err
 
 
 class TestDocumentColumns:
@@ -307,6 +324,24 @@ class TestFindim:
         assert out == ""
         assert message in err
 
+    @pytest.mark.parametrize("doc, zbar, message", [
+        # G and f both fail at zbar; G is evaluated first
+        ({"nz": 2, "m": 1, "f": ["log(z1) + z2^2"], "G": ["1 / z2 - 1"]}, "0,0",
+         "division by zero in '1 / z2'"),
+        # f fails at zbar, but G(zbar) = 1 > 0 is reported first
+        ({"nz": 2, "m": 1, "f": ["1 / z1 + z2^2"], "G": ["z2 - 1"]}, "0,2",
+         "violates feasibility"),
+    ], ids=["g-before-f", "infeasible-before-f"])
+    def test_first_error_at_zbar_wins(self, capsys, tmp_path, doc, zbar, message):
+        path = tmp_path / "precedence.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "findim", str(path), f"--zbar={zbar}",
+                                 "--steps", "4", "--dir=0,1")
+        assert code == 1
+        assert out == ""
+        assert message in err
+        assert "log" not in err and "1 / z1" not in err
+
     def test_certificate_records_program_hash_and_no_seed(self, capsys, tmp_path):
         doc = {"nz": 2, "m": 2, "f": ["z1^2 + z2^2", "(z1 - 1)^2 + z2^2"],
                "G": ["z1 + z2 - 1"]}
@@ -401,20 +436,22 @@ class TestCertificateProperties:
             assert recompute_overall_verdict(cert) == cert["overall_verdict"]
 
     def test_seed_recorded(self, capsys):
-        _, out, _ = run_cli(capsys, "check-kkt", "builtin:example_6_1",
-                            "--lambda", "0.5,0.5", "--grid", "60", "--seed", "99")
+        _, out, _ = run_cli(capsys, "check-socs", "builtin:example_6_1",
+                            "--lambda", "0.5,0.5", "--gamma0", "1", "--grid", "60",
+                            "--probes", "2", "--max-iters", "5", "--seed", "99")
         assert load_cert(out)["seed"] == 99
 
 
 class TestConstructionContract:
     """Each request builds one field table and one backward map, and only the
-    maps its command uses; a problem file's expressions are parsed once."""
+    maps its command uses; a problem file's expressions are parsed once, and
+    a findim request evaluates each quantity at zbar at most once."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         calls = {"build_fields": 0, "BackwardLinearMap": 0, "LinearStateMap": 0,
                  "apply_transpose": 0, "hessian_blocks": 0, "compile_rk4": 0, "parse": 0,
-                 "differentiate": 0, "solve": []}
+                 "differentiate": 0, "solve": [], "zbar": []}
 
         def count(owner, name, key, record=None):
             original = getattr(owner, name)
@@ -447,7 +484,20 @@ class TestConstructionContract:
         count(expr, "differentiate", "differentiate")
         count(KktWorkspace, "solve", "solve",
               record=lambda ws, lam, *a, **k: tuple(float(v) for v in lam))
+        count(FinDimPoint, "_evaluate", "zbar", record=self.zbar_quantity)
         return calls
+
+    @staticmethod
+    def zbar_quantity(point, trees):
+        """Which quantity at zbar a FinDimPoint evaluation computes."""
+        p = point.problem
+        tables = {"f": p.f, "g": p.G,
+                  "f_jacobian": tuple(t.grad for t in p.f_derivs),
+                  "g_jacobian": tuple(t.grad for t in p.G_derivs),
+                  "f_hessians": tuple(t.hess for t in p.f_derivs),
+                  "g_hessians": tuple(t.hess for t in p.G_derivs)}
+        names = [name for name, table in tables.items() if table == trees]
+        return names[0] if len(names) == 1 else "unknown"
 
     @pytest.fixture
     def files(self, tmp_path, findim_fixture_file):
@@ -529,6 +579,30 @@ class TestConstructionContract:
         names = [f.name for f in dataclasses.fields(fields)]
         assert "L" in names and "gu" in names
         assert not [name for name in names if "hess" in name.lower()]
+
+    # the quad4_fail program of the findim benchmark workload, unrescaled
+    QUAD4_FAIL = {"nz": 4, "m": 3,
+                  "f": ["z1^2 + z2^2 - z3^2 + z4^2", "(z1 - 1)^2 + z2^2 - z3^2 + z4^2",
+                        "z1^2 + z2^2 - z3^2 + (z4 + 1)^2"],
+                  "G": ["z1 + z2 + z3 + z4 - 1", "-z4"]}
+
+    @pytest.mark.parametrize("dirs, critical", [
+        (["0,0,1,0", "0,1,0,0", "0,0,0,1"], [True, True, False]),
+        ([], []),
+    ], ids=["three-dirs", "no-dir"])
+    def test_findim_evaluates_zbar_quantities_once(self, capsys, calls, tmp_path,
+                                                   dirs, critical):
+        path = tmp_path / "quad4_fail.json"
+        path.write_text(json.dumps(self.QUAD4_FAIL))
+        code, out, err = run_cli(capsys, "findim", str(path), "--zbar", "0,0,0,0",
+                                 "--steps", "4", *(f"--dir={d}" for d in dirs))
+        assert code == 2, err
+        directions = load_cert(out)["fragments"]["directions"]
+        assert [e["critical"] for e in directions] == critical
+        expected = {"f": 1, "g": 1, "f_jacobian": 1, "g_jacobian": 1}
+        if dirs:
+            expected.update(f_hessians=1, g_hessians=1)
+        assert collections.Counter(calls["zbar"]) == expected
 
     def test_findim_differentiates_at_load_only(self, capsys, calls, files):
         counts = []

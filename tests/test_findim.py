@@ -9,6 +9,7 @@ import pytest
 from paretocert import expr as ex
 from paretocert.findim import (
     FinDimFormatError,
+    FinDimPoint,
     InfeasiblePointError,
     MultiplierPair,
     NotCriticalError,
@@ -129,8 +130,9 @@ class TestDerivativeTables:
             for _ in range(5):
                 z = rng.uniform(-0.9, 0.9, p.nz)
                 env = dict(zip(p.variables, z))
-                for asts, jac, hess in ((p.f, p.f_jacobian(z), p.f_hessians(z)),
-                                        (p.G, p.g_jacobian(z), p.g_hessians(z))):
+                pt = FinDimPoint(p, z)
+                for asts, jac, hess in ((p.f, pt.f_jacobian, pt.f_hessians),
+                                        (p.G, pt.g_jacobian, pt.g_hessians)):
                     assert jac.shape == (len(asts), p.nz), name
                     assert hess.shape == (len(asts), p.nz, p.nz), name
                     for k, a in enumerate(asts):
@@ -147,51 +149,52 @@ class TestDerivativeTables:
         # f = z1 sin(z2): grad = (sin z2, z1 cos z2), d2f/dz2^2 = -z1 sin z2
         p = load_findim_problem({"nz": 2, "m": 1, "f": ["z1 * sin(z2)"], "G": ["z1 - 5"]})
         z = np.array([0.7, 0.3])
-        np.testing.assert_allclose(p.f_jacobian(z), [[np.sin(0.3), 0.7 * np.cos(0.3)]],
+        pt = FinDimPoint(p, z)
+        np.testing.assert_allclose(pt.f_jacobian, [[np.sin(0.3), 0.7 * np.cos(0.3)]],
                                    rtol=1e-12)
         np.testing.assert_allclose(
-            p.f_hessians(z), [[[0.0, np.cos(0.3)], [np.cos(0.3), -0.7 * np.sin(0.3)]]],
+            pt.f_hessians, [[[0.0, np.cos(0.3)], [np.cos(0.3), -0.7 * np.sin(0.3)]]],
             rtol=1e-12)
 
 
 class TestRobinson:
     def test_inactive_point_passes(self):
         p, z = fixture("convex_pair")
-        report = robinson_check(p, z)
+        report = robinson_check(FinDimPoint(p, z))
         assert report.passed
         assert len(report.active) == 0
 
     def test_opposing_gradients_fail(self):
         p = load_findim_problem(
             {"nz": 2, "m": 1, "f": ["z1^2 + z2^2"], "G": ["z1", "-z1"]})
-        report = robinson_check(p, (0.0, 0.5))
+        report = robinson_check(FinDimPoint(p, (0.0, 0.5)))
         assert not report.passed
         assert report.s_opt == pytest.approx(0.0, abs=1e-9)
 
     def test_zero_gradient_active_row_fails(self):
         p = load_findim_problem({"nz": 2, "m": 1, "f": ["z1^2 + z2^2"], "G": ["z1^2"]})
-        report = robinson_check(p, (0.0, 0.3))
+        report = robinson_check(FinDimPoint(p, (0.0, 0.3)))
         assert not report.passed
         assert report.s_opt == pytest.approx(0.0, abs=1e-9)
 
     def test_active_bound_passes_with_witness(self):
         p, z = fixture("active_bound")
-        report = robinson_check(p, z)
+        report = robinson_check(FinDimPoint(p, z))
         assert report.passed
-        rows = p.g_jacobian(z)[report.active]
+        rows = FinDimPoint(p, z).g_jacobian[report.active]
         assert np.all(rows @ report.witness < 0)
 
     def test_infeasible_point_rejected(self):
         p, _ = fixture("active_bound")
         with pytest.raises(InfeasiblePointError):
-            robinson_check(p, (-1.0, 0.0))
+            robinson_check(FinDimPoint(p, (-1.0, 0.0)))
 
 
 class TestMultiplierSampling:
     def test_unique_vertex_pair(self):
         # stationarity forces lambda = (1, 0) with e = 0 at the origin
         p, z = fixture("convex_pair")
-        pairs = multiplier_set_sample(p, z, n_lambda=21)
+        pairs = multiplier_set_sample(FinDimPoint(p, z), n_lambda=21)
         assert len(pairs) == 1
         np.testing.assert_allclose(pairs[0].lam, [1.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(pairs[0].e, [0.0])
@@ -199,14 +202,14 @@ class TestMultiplierSampling:
     def test_interior_weight_pair(self):
         # opposing linear gradients cancel only at equal weights
         p, z = fixture("opposed_linear")
-        pairs = multiplier_set_sample(p, z, n_lambda=21)
+        pairs = multiplier_set_sample(FinDimPoint(p, z), n_lambda=21)
         assert len(pairs) == 1
         np.testing.assert_allclose(pairs[0].lam, [1 / np.sqrt(2)] * 2, atol=1e-12)
 
     def test_zero_gradients_accept_every_weight(self):
         p = load_findim_problem(
             {"nz": 2, "m": 2, "f": ["z1^2", "z2^2"], "G": ["z1 + z2 - 1"]})
-        pairs = multiplier_set_sample(p, (0.0, 0.0), n_lambda=21)
+        pairs = multiplier_set_sample(FinDimPoint(p, (0.0, 0.0)), n_lambda=21)
         assert len(pairs) == 21
         assert all(np.all(pair.e == 0.0) for pair in pairs)
 
@@ -214,7 +217,7 @@ class TestMultiplierSampling:
         for name in FIXTURES:
             p, z = fixture(name)
             g = p.g_value(z)
-            for pair in multiplier_set_sample(p, z, n_lambda=21):
+            for pair in multiplier_set_sample(FinDimPoint(p, z), n_lambda=21):
                 assert pair.stationarity_residual <= 1e-8
                 assert np.all(pair.e >= 0)
                 assert abs(np.linalg.norm(pair.lam) - 1.0) <= 1e-12
@@ -224,40 +227,45 @@ class TestMultiplierSampling:
 class TestSecondOrderNecessary:
     def test_convex_fixture_holds(self):
         p, z = fixture("convex_pair")
-        pairs = multiplier_set_sample(p, z)
-        curvature, verdict = second_order_necessary_check(p, z, (0.0, 1.0), pairs)
+        pt = FinDimPoint(p, z)
+        pairs = multiplier_set_sample(pt)
+        curvature, verdict = second_order_necessary_check(pt, (0.0, 1.0), pairs)
         assert verdict
         assert curvature == pytest.approx(2.0)
 
     def test_zero_direction_holds(self):
         p, z = fixture("convex_pair")
-        pairs = multiplier_set_sample(p, z)
-        curvature, verdict = second_order_necessary_check(p, z, (0.0, 0.0), pairs)
+        pt = FinDimPoint(p, z)
+        pairs = multiplier_set_sample(pt)
+        curvature, verdict = second_order_necessary_check(pt, (0.0, 0.0), pairs)
         assert verdict
         assert curvature == pytest.approx(0.0)
 
     def test_shared_indefinite_fails_for_every_pair(self):
         p, z = fixture("shared_indefinite")
-        pairs = multiplier_set_sample(p, z)
-        curvature, verdict = second_order_necessary_check(p, z, (0.0, 1.0), pairs)
+        pt = FinDimPoint(p, z)
+        pairs = multiplier_set_sample(pt)
+        curvature, verdict = second_order_necessary_check(pt, (0.0, 1.0), pairs)
         assert not verdict
         assert curvature == pytest.approx(-2.0)
 
     def test_non_critical_direction_rejected(self):
         p, z = fixture("convex_pair")
-        pairs = multiplier_set_sample(p, z)
+        pt = FinDimPoint(p, z)
+        pairs = multiplier_set_sample(pt)
         with pytest.raises(NotCriticalError):
-            second_order_necessary_check(p, z, (-1.0, 0.0), pairs)  # grad f2 . d > 0
+            second_order_necessary_check(pt, (-1.0, 0.0), pairs)  # grad f2 . d > 0
 
     def test_curvature_linear_in_multipliers(self):
         p, z = fixture("active_bound")
-        pairs = multiplier_set_sample(p, z, n_lambda=5)
+        pt = FinDimPoint(p, z)
+        pairs = multiplier_set_sample(pt, n_lambda=5)
         assert len(pairs) >= 2
         a, b = pairs[0], pairs[-1]
         d = (0.0, 1.0)
 
         def curv(pair):
-            value, _ = second_order_necessary_check(p, z, d, [pair])
+            value, _ = second_order_necessary_check(pt, d, [pair])
             return value
 
         for c in (0.25, 0.5, 0.75):
@@ -270,22 +278,22 @@ class TestSecondOrderNecessary:
 class TestWeakParetoOracle:
     def test_convex_fixture_true(self):
         p, z = fixture("convex_pair")
-        assert weak_pareto_oracle(p, z, radius=0.5, steps=20) is True
+        assert weak_pareto_oracle(FinDimPoint(p, z), radius=0.5, steps=20) is True
 
     def test_shared_indefinite_false(self):
         p, z = fixture("shared_indefinite")
-        assert weak_pareto_oracle(p, z, radius=0.5, steps=20) is False
+        assert weak_pareto_oracle(FinDimPoint(p, z), radius=0.5, steps=20) is False
 
     def test_guards(self):
         p, z = fixture("convex_pair")
         with pytest.raises(ValueError):
-            weak_pareto_oracle(p, z, radius=0.0, steps=20)
+            weak_pareto_oracle(FinDimPoint(p, z), radius=0.0, steps=20)
         with pytest.raises(ValueError):
-            weak_pareto_oracle(p, z, radius=0.5, steps=2)
+            weak_pareto_oracle(FinDimPoint(p, z), radius=0.5, steps=2)
         big = load_findim_problem(
             {"nz": 5, "m": 1, "f": ["z1"], "G": ["z1 + z2 + z3 + z4 + z5"]})
         with pytest.raises(ValueError):
-            weak_pareto_oracle(big, np.zeros(5), radius=0.5, steps=3)
+            weak_pareto_oracle(FinDimPoint(big, np.zeros(5)), radius=0.5, steps=3)
 
 
     @staticmethod
@@ -304,7 +312,7 @@ class TestWeakParetoOracle:
         outcomes = set()
         for name, p, z in all_programs():
             for radius, steps in ((0.05, 3), (0.3, 4), (0.5, 5)):
-                got = weak_pareto_oracle(p, z, radius=radius, steps=steps)
+                got = weak_pareto_oracle(FinDimPoint(p, z), radius=radius, steps=steps)
                 assert got is self.reference(p, z, radius, steps), (name, radius, steps)
                 outcomes.add((p.nz, got))
         # every dimension sees both verdicts, so agreement is not vacuous
@@ -312,9 +320,9 @@ class TestWeakParetoOracle:
 
     def test_domain_error_anywhere_on_grid(self):
         p = load_findim_problem({"nz": 2, "m": 1, "f": ["z1 + log(z2)"], "G": ["z1 - 1"]})
-        assert weak_pareto_oracle(p, (0.0, 0.5), radius=0.25, steps=4) is False
+        assert weak_pareto_oracle(FinDimPoint(p, (0.0, 0.5)), radius=0.25, steps=4) is False
         with pytest.raises(ex.EvalDomainError, match="log of non-positive value"):
-            weak_pareto_oracle(p, (0.0, 0.2), radius=0.25, steps=4)
+            weak_pareto_oracle(FinDimPoint(p, (0.0, 0.2)), radius=0.25, steps=4)
 
     def test_peak_memory_below_coordinate_grid(self):
         # the open grid never holds nz full coordinate arrays at once
@@ -323,7 +331,8 @@ class TestWeakParetoOracle:
         bound = p.nz * (2 * steps + 1) ** p.nz * 8
         tracemalloc.start()
         try:
-            assert weak_pareto_oracle(p, np.zeros(4), radius=0.4, steps=steps) is True
+            point = FinDimPoint(p, np.zeros(4))
+            assert weak_pareto_oracle(point, radius=0.4, steps=steps) is True
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -335,15 +344,16 @@ class TestSoundnessLink:
         """Contrapositive audit over all fixtures with exhaustive sampling."""
         for name, data in FIXTURES.items():
             p, z = fixture(name)
-            assert robinson_check(p, z).passed, name
-            pairs = multiplier_set_sample(p, z, n_lambda=21)
+            pt = FinDimPoint(p, z)
+            assert robinson_check(pt).passed, name
+            pairs = multiplier_set_sample(pt, n_lambda=21)
             assert pairs, name
             any_failure = False
             for d in data["directions"]:
-                _, verdict = second_order_necessary_check(p, z, d, pairs)
+                _, verdict = second_order_necessary_check(pt, d, pairs)
                 if not verdict:
                     any_failure = True
-            oracle = weak_pareto_oracle(p, z, radius=0.4, steps=12)
+            oracle = weak_pareto_oracle(pt, radius=0.4, steps=12)
             assert oracle is data["oracle"], name
             assert any_failure is (not data["necessary_holds"]), name
             if any_failure:
