@@ -28,7 +28,6 @@ from .kkt import (
     KktReport,
     KktWorkspace,
     MultiplierTriple,
-    Tolerances,
 )
 from .problem import (
     H2Report,
@@ -54,7 +53,6 @@ from .trajectory import (
     Grid,
     Trajectory,
     integrate_state,
-    linearized_state,
     quadrature,
     state_residual,
 )

@@ -5,7 +5,10 @@ why, 1 = usage or input error.  Certificates go to stdout (or --out) and are
 byte-deterministic for fixed inputs and --seed, apart from the wall_time_s
 field.  Only check-socn and check-socs draw random numbers or read an
 activity threshold, so only they take --seed and --eps-act; check-kkt and
-findim record seed as null, and findim records grid_n as null too.
+findim record seed as null, and findim records grid_n as null too.  One
+--tol bounds every residual of a request (and, for the second-order
+commands, cone membership and the curvature signs); it must be positive and
+finite, and --eps-act finite and nonnegative.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .findim import (
     second_order_necessary_check,
     weak_pareto_oracle,
 )
-from .kkt import KktWorkspace, MultiplierTriple, Tolerances
+from .kkt import KktWorkspace, MultiplierTriple, tolerance_record
 from .problem import (
     ProblemFormatError,
     UnknownBuiltinError,
@@ -129,6 +132,23 @@ def _load_directions(path: str) -> list[Direction]:
         raise _InputError(f"{path}: invalid direction document ({err})")
 
 
+def _threshold(allow_zero: bool):
+    """argparse type of a finite threshold that is positive, or nonnegative
+    when allow_zero."""
+    kind = "nonnegative" if allow_zero else "positive"
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = np.nan
+        if not (np.isfinite(value) and (value > 0 or (allow_zero and value == 0))):
+            raise argparse.ArgumentTypeError(f"must be a finite {kind} number, not {text!r}")
+        return value
+
+    return parse
+
+
 def _lambda_arg(args, m: int) -> np.ndarray:
     if args.lam is None:
         raise _UsageError("--lambda is required for this command")
@@ -148,13 +168,13 @@ def _emit(args, payload: str) -> None:
             fh.write(payload)
 
 
-def _gate_fragments(ws: KktWorkspace, tols) -> dict:
+def _gate_fragments(ws: KktWorkspace) -> dict:
     res = ws.fields.state_residual
     g_max = float(np.max(ws.fields.g))
     feasibility = {
         "state_residual": res,
         "constraint_residual": max(0.0, g_max),
-        "passed": bool(res <= tols.state and g_max <= tols.feasibility),
+        "passed": bool(res <= ws.tol and g_max <= ws.tol),
     }
     return {"feasibility": feasibility, "h2": ws.h2.to_dict()}
 
@@ -186,13 +206,12 @@ def _cmd_check_kkt(args) -> int:
     problem = _load_problem_arg(args.problem)
     lam = _lambda_arg(args, problem.m)
     traj = _load_trajectory(args, problem)
-    tols = Tolerances.uniform(args.tol)
-    ws = KktWorkspace(problem, traj)
-    fragments = _gate_fragments(ws, tols)
-    _, _, report = ws.solve(lam, tols)
+    ws = KktWorkspace(problem, traj, args.tol)
+    fragments = _gate_fragments(ws)
+    _, _, report = ws.solve(lam)
     fragments["kkt"] = report.to_dict()
     params = {"lambda": [float(v) for v in lam]}
-    return _finish(args, "check-kkt", fragments, tols.to_dict(), params, started,
+    return _finish(args, "check-kkt", fragments, tolerance_record(ws.tol), params, started,
                    name=problem.name, digest=cert.problem_hash(problem),
                    grid_n=traj.grid.n_intervals, seed=None)
 
@@ -212,24 +231,20 @@ def _cmd_check_socn(args) -> int:
             _check_columns(f"{args.directions}: direction {i}", direction, problem)
         params["directions_path"] = args.directions
     traj = _load_trajectory(args, problem)
-    tols = Tolerances.uniform(args.tol)
-    ws = SecondOrderWorkspace(problem, traj)
-    fragments = _gate_fragments(ws, tols)
+    ws = SecondOrderWorkspace(problem, traj, args.tol, args.eps_act)
+    fragments = _gate_fragments(ws)
     if fragments["feasibility"]["passed"] and fragments["h2"]["passed"]:
         if directions is None:
-            directions = random_critical_directions(
-                ws, count=args.probes, seed=args.seed,
-                eps_act=args.eps_act, tol=args.tol)
+            directions = random_critical_directions(ws, count=args.probes,
+                                                    seed=args.seed)
             params["probes"] = args.probes
-        frag = socn_verdict(
-            ws, directions, lambda_points=args.lambda_grid, tol=args.tol,
-            eps_act=args.eps_act, tolerances=tols)
+        frag = socn_verdict(ws, directions, lambda_points=args.lambda_grid)
         fragments["socn"] = frag.to_dict()
     else:
         fragments["socn"] = {"verdict": "gated", "tested": 0, "skipped": [],
-                             "results": [], "weight_grid": [], "tol": args.tol,
+                             "results": [], "weight_grid": [], "tol": ws.tol,
                              "note": "gates failed; sweep not run"}
-    return _finish(args, "check-socn", fragments, tols.to_dict(), params, started,
+    return _finish(args, "check-socn", fragments, tolerance_record(ws.tol), params, started,
                    name=problem.name, digest=cert.problem_hash(problem),
                    grid_n=traj.grid.n_intervals, seed=args.seed)
 
@@ -243,24 +258,21 @@ def _cmd_check_socs(args) -> int:
     if args.probes < 1:
         raise _UsageError("--probes must be at least 1")
     traj = _load_trajectory(args, problem)
-    tols = Tolerances.uniform(args.tol)
-    ws = SecondOrderWorkspace(problem, traj)
-    fragments = _gate_fragments(ws, tols)
+    ws = SecondOrderWorkspace(problem, traj, args.tol, args.eps_act)
+    fragments = _gate_fragments(ws)
     params = {"lambda": [float(v) for v in lam], "gamma0": args.gamma0,
               "probes": args.probes}
     if fragments["feasibility"]["passed"] and fragments["h2"]["passed"]:
-        p, theta, _ = ws.solve(lam, tols)
+        p, theta, _ = ws.solve(lam)
         triple = MultiplierTriple(lam, p, theta)
-        frag = socs_verdict(
-            ws, triple, gamma0=args.gamma0, n_probes=args.probes,
-            max_iters=args.max_iters, tol=args.tol, eps_act=args.eps_act,
-            tolerances=tols, seed=args.seed)
+        frag = socs_verdict(ws, triple, gamma0=args.gamma0, n_probes=args.probes,
+                            max_iters=args.max_iters, seed=args.seed)
         fragments["socs"] = frag.to_dict()
     else:
         fragments["socs"] = {"verdict": "gated", "failed_stage": "gates",
                              "kkt": None, "coercivity": None, "search": None,
-                             "caveat": "", "tol": args.tol}
-    return _finish(args, "check-socs", fragments, tols.to_dict(), params, started,
+                             "caveat": "", "tol": ws.tol}
+    return _finish(args, "check-socs", fragments, tolerance_record(ws.tol), params, started,
                    name=problem.name, digest=cert.problem_hash(problem),
                    grid_n=traj.grid.n_intervals, seed=args.seed)
 
@@ -393,15 +405,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--traj", help="trajectory JSON (default: zero control)")
         p.add_argument("--grid", type=int, default=1000,
                        help="grid intervals when no trajectory file is given")
-        p.add_argument("--tol", type=float, default=1e-8, help="residual tolerance")
+        p.add_argument("--tol", type=_threshold(allow_zero=False), default=1e-8,
+                       help="tolerance of every residual and of cone membership")
         p.add_argument("--out", help="certificate output path (default stdout)")
         if needs_lambda:
             p.add_argument("--lambda", dest="lam",
                            help="comma-separated objective weights")
 
     def second_order(p):
-        p.add_argument("--eps-act", type=float, default=1e-8, dest="eps_act",
-                       help="constraint activity threshold")
+        p.add_argument("--eps-act", type=_threshold(allow_zero=True), default=1e-8,
+                       dest="eps_act", help="constraint activity threshold")
         p.add_argument("--seed", type=int, default=42)
 
     p = sub.add_parser("check-kkt", help="first-order (KKT) residual check")
@@ -434,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=float, default=0.25, help="oracle ball radius")
     p.add_argument("--steps", type=int, default=12, help="oracle grid steps per side")
     p.add_argument("--lambda-grid", type=int, default=21, dest="lambda_grid")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_threshold(allow_zero=False), default=1e-8)
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_findim)
 

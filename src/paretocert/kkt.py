@@ -15,12 +15,14 @@ sampling for the trapezoid quadrature used everywhere else.
 The command line builds one KktWorkspace per request (a
 SecondOrderWorkspace for the second-order commands); the gates, every
 weight's solve and every residual report read its field table and backward
-map.
+map.  The workspace also holds the request's one residual tolerance: every
+first-order residual is accepted against it, and the certificate records it
+once per residual name.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +37,6 @@ from .trajectory import (
 __all__ = [
     "MultiplierTriple",
     "KktReport",
-    "Tolerances",
     "H2ViolationError",
     "KktWorkspace",
 ]
@@ -46,26 +47,16 @@ class H2ViolationError(ValueError):
 
 
 H2_ALPHA = 1e-8  # fixed wellposedness gate for theta recovery
+FIXED_POINT_TOL = 1e-10  # max node change of theta that ends the (p, theta) iteration
+FIXED_POINT_MAX_ITERATIONS = 100
+
+RESIDUAL_NAMES = ("stationarity", "adjoint", "terminal", "sign",
+                  "complementarity", "feasibility", "state")
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Per-residual acceptance thresholds (all default 1e-8)."""
-
-    stationarity: float = 1e-8
-    adjoint: float = 1e-8
-    terminal: float = 1e-8
-    sign: float = 1e-8
-    complementarity: float = 1e-8
-    feasibility: float = 1e-8
-    state: float = 1e-8
-
-    @classmethod
-    def uniform(cls, tol: float) -> "Tolerances":
-        return cls(tol, tol, tol, tol, tol, tol, tol)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+def tolerance_record(tol: float) -> dict:
+    """The certificate's tolerance record: one entry per residual, all tol."""
+    return dict.fromkeys(RESIDUAL_NAMES, tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,7 +96,7 @@ class KktReport:
     feasibility_residual: float
     state_residual: float
     passed: bool
-    tolerances: Tolerances
+    tol: float
     lam: tuple[float, ...]
     grid_n: int
     converged: bool | None = None
@@ -125,7 +116,7 @@ class KktReport:
     def to_dict(self) -> dict:
         out = {k: float(v) for k, v in self.residuals().items()}
         out["passed"] = bool(self.passed)
-        out["tolerances"] = self.tolerances.to_dict()
+        out["tolerances"] = tolerance_record(self.tol)
         out["lambda"] = [float(v) for v in self.lam]
         out["grid_n"] = self.grid_n
         if self.converged is not None:
@@ -155,11 +146,12 @@ def _stationarity(fields: TrajectoryFields, lam, p, theta) -> np.ndarray:
 class KktWorkspace:
     """Field table, backward map and H2 gate of one (problem, trajectory),
     shared by the gates and every multiplier solve; theta is recovered from
-    the gate's i0."""
+    the gate's i0.  tol is the acceptance threshold of every residual."""
 
-    def __init__(self, problem: Problem, traj: Trajectory):
+    def __init__(self, problem: Problem, traj: Trajectory, tol: float = 1e-8):
         self.problem = problem
         self.traj = traj
+        self.tol = tol
         self.fields = build_fields(problem, traj)
         self.backward = BackwardLinearMap(self.fields.phix, traj.grid)
         self.h2 = H2Report.from_gradient(self.fields.gu, H2_ALPHA)
@@ -184,7 +176,7 @@ class KktWorkspace:
         num += np.einsum("kn,kn->k", f.phiu[:, :, self.i0], np.asarray(p, dtype=float))
         return -num / gu_i0
 
-    def residuals(self, lam, p, theta, tols: Tolerances = Tolerances()) -> KktReport:
+    def residuals(self, lam, p, theta) -> KktReport:
         """Evaluate every first-order residual at a given multiplier triple.
 
         The adjoint residual is the maximum one-step reproduction defect of
@@ -201,15 +193,8 @@ class KktWorkspace:
         sign = float(max(0.0, -np.min(theta)))
         comp = float(np.max(np.abs(theta * f.g)))
         feas = float(max(0.0, np.max(f.g)))
-        passed = (
-            stat <= tols.stationarity
-            and adj <= tols.adjoint
-            and term <= tols.terminal
-            and sign <= tols.sign
-            and comp <= tols.complementarity
-            and feas <= tols.feasibility
-            and f.state_residual <= tols.state
-        )
+        passed = all(r <= self.tol for r in (stat, adj, term, sign, comp, feas,
+                                             f.state_residual))
         return KktReport(
             stationarity_residual=stat,
             adjoint_residual=adj,
@@ -219,34 +204,33 @@ class KktWorkspace:
             feasibility_residual=feas,
             state_residual=f.state_residual,
             passed=passed,
-            tolerances=tols,
+            tol=self.tol,
             lam=tuple(float(v) for v in lam),
             grid_n=f.grid.n_intervals,
         )
 
-    def solve(self, lam, tols: Tolerances = Tolerances(), fp_tol: float = 1e-10,
-              max_iterations: int = 100):
+    def solve(self, lam):
         """Recover (p, theta) for a given lambda by fixed-point iteration.
 
         Starts from theta = 0, alternates adjoint solve and theta recovery
-        until the max node change is <= fp_tol or the iteration budget runs
-        out; a non-converged result is returned with the report flagged,
-        never hidden.  Returns (p, theta, KktReport).
+        until the max node change is <= FIXED_POINT_TOL or
+        FIXED_POINT_MAX_ITERATIONS run out; a non-converged result is
+        returned with the report flagged, never hidden.  Returns (p, theta, KktReport).
         """
         lam = np.asarray(lam, dtype=float)
         theta = np.zeros(self.fields.grid.n_intervals + 1)
         converged = False
         iterations = 0
         p = np.zeros((len(theta), self.problem.n))
-        for iterations in range(1, max_iterations + 1):
+        for iterations in range(1, FIXED_POINT_MAX_ITERATIONS + 1):
             p = self.solve_adjoint(lam, theta)
             theta_next = self.recover_theta(lam, p)
             change = float(np.max(np.abs(theta_next - theta)))
             theta = theta_next
-            if change <= fp_tol:
+            if change <= FIXED_POINT_TOL:
                 converged = True
                 break
-        report = self.residuals(lam, p, theta, tols)
+        report = self.residuals(lam, p, theta)
         report.converged = converged
         report.iterations = iterations
         if not converged:

@@ -7,6 +7,12 @@ A direction z = (x, u) on the grid is critical when
 * (c3) at every node where the constraint is active (g >= -eps_act), the
   linearized constraint g_x x + g_u u is <= 0; inactive nodes impose nothing.
 
+A request has one SecondOrderWorkspace, and it holds the request's two
+thresholds: the residual tolerance tol (KKT acceptance, cone membership,
+curvature signs) and the activity threshold eps_act.  The active set is
+computed once from eps_act and shared by every membership test and cone
+projection.
+
 The necessary-cone and sufficient-cone variants collapse to this same
 node-wise test at the discrete level; the variant is recorded in reports so
 certificates can carry the "discrete surrogate" caveat for the closure-based
@@ -30,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .kkt import KktWorkspace, MultiplierTriple, Tolerances
+from .kkt import KktWorkspace, MultiplierTriple
 from .problem import Problem
 from .simplex import unit_weight_grid
 from .trajectory import (
@@ -145,11 +151,14 @@ class WorstDirectionResult:
 class SecondOrderWorkspace(KktWorkspace):
     """Reference-point data reused across directions, weights, and probes.
 
-    Extends the request's KktWorkspace; builds the linear state map, the c1
-    Riesz vectors and the Hessian blocks on first use."""
+    Extends the request's KktWorkspace with the activity threshold eps_act;
+    builds the linear state map, the c1 Riesz vectors, the active set and
+    the Hessian blocks on first use."""
 
-    def __init__(self, problem: Problem, traj: Trajectory):
-        super().__init__(problem, traj)
+    def __init__(self, problem: Problem, traj: Trajectory, tol: float = 1e-8,
+                 eps_act: float = 1e-8):
+        super().__init__(problem, traj, tol)
+        self.eps_act = eps_act
         self.w = self.fields.w
         self.gu_sq = np.einsum("kl,kl->k", self.fields.gu, self.fields.gu)
 
@@ -172,8 +181,15 @@ class SecondOrderWorkspace(KktWorkspace):
             for j in range(self.problem.m)
         ]
 
-    def active_mask(self, eps_act: float) -> np.ndarray:
-        return self.fields.g >= -eps_act
+    @cached_property
+    def active(self) -> np.ndarray:
+        """Nodes where the constraint is active: g >= -eps_act."""
+        return self.fields.g >= -self.eps_act
+
+    @cached_property
+    def safe(self) -> np.ndarray:
+        """Active nodes where g_u is large enough to step along."""
+        return self.active & (self.gu_sq > 1e-24)
 
     def combined_hessian(self, lam, p, theta) -> np.ndarray:
         h = self.hessians
@@ -191,8 +207,7 @@ class SecondOrderWorkspace(KktWorkspace):
         f = self.fields
         return np.einsum("kn,kn->k", f.gx, x) + np.einsum("kl,kl->k", f.gu, u)
 
-    def membership(self, direction: Direction, variant: str = "sufficient",
-                   eps_act: float = 1e-8, tol: float = 1e-8) -> ConeMembership:
+    def membership(self, direction: Direction, variant: str = "sufficient") -> ConeMembership:
         """Node-wise membership test for the critical cone at the reference point."""
         if direction.grid.n_intervals != self.traj.grid.n_intervals:
             raise GridMismatchError(
@@ -205,19 +220,18 @@ class SecondOrderWorkspace(KktWorkspace):
         c1_values = self.c1_integrals(x, u)
         c1 = float(max(0.0, np.max(c1_values)))
         c2 = float(np.max(np.abs(x - self.linmap.apply(u))))
-        active = self.active_mask(eps_act)
         vals = self.c3_values(x, u)
-        c3 = float(max(0.0, np.max(vals[active], initial=0.0)))
-        passed = c1 <= tol and c2 <= tol and c3 <= tol
+        c3 = float(max(0.0, np.max(vals[self.active], initial=0.0)))
+        passed = c1 <= self.tol and c2 <= self.tol and c3 <= self.tol
         return ConeMembership(
             variant=variant,
             c1_residual=c1,
             c2_residual=c2,
             c3_residual=c3,
-            active_nodes=np.flatnonzero(active),
+            active_nodes=np.flatnonzero(self.active),
             passed=passed,
-            eps_act=eps_act,
-            tol=tol,
+            eps_act=self.eps_act,
+            tol=self.tol,
             c1_values=c1_values,
         )
 
@@ -240,8 +254,7 @@ class SecondOrderWorkspace(KktWorkspace):
 
     # -- projection onto the discrete cone (alternating, heuristic) --------
 
-    def project_cone(self, u: np.ndarray, eps_act: float, tol: float,
-                     max_passes: int = 40):
+    def project_cone(self, u: np.ndarray, max_passes: int = 40):
         """Alternating projection of controls onto the c1/c3 inequalities.
 
         Node-wise half-space steps treat the state response as frozen and
@@ -249,15 +262,13 @@ class SecondOrderWorkspace(KktWorkspace):
         projections through the Riesz vectors.  Returns (u, x, moved) where
         moved reports whether any correction was applied.
         """
-        active = self.active_mask(eps_act)
         gu = self.fields.gu
-        safe = active & (self.gu_sq > 1e-24)
         x = self.linmap.apply(u)
         moved = False
-        slack = 0.1 * tol
+        slack = 0.1 * self.tol
         for _ in range(max_passes):
             vals = self.c3_values(x, u)
-            viol = safe & (vals > slack)
+            viol = self.safe & (vals > slack)
             c1_vals = self.c1_integrals(x, u)
             if not np.any(viol) and not np.any(c1_vals > slack):
                 break
@@ -304,11 +315,8 @@ def coercivity_check(ws: SecondOrderWorkspace, lam, gamma0: float) -> Coercivity
 class _CurvatureSearch:
     """Projected descent for min Q(z(u)) over the cone with ||u||_2 = 1."""
 
-    def __init__(self, ws: SecondOrderWorkspace, triple: MultiplierTriple,
-                 eps_act: float, tol: float):
+    def __init__(self, ws: SecondOrderWorkspace, triple: MultiplierTriple):
         self.ws = ws
-        self.eps_act = eps_act
-        self.tol = tol
         W = ws.combined_hessian(triple.lam, triple.p, triple.theta)
         self.W = W
         self.Wsum = W + np.swapaxes(W, 1, 2)
@@ -337,8 +345,7 @@ class _CurvatureSearch:
         return float(np.einsum("kl,kl->k", u1, u2) @ self.w)
 
     def _normalize_feasible(self, u, passes=3):
-        u, x, moved = self.ws.project_cone(u, self.eps_act, self.tol,
-                                           max_passes=passes)
+        u, x, moved = self.ws.project_cone(u, max_passes=passes)
         nrm = np.sqrt(max(self.control_dot(u, u), 0.0))
         if nrm < 1e-12:
             return None
@@ -441,8 +448,6 @@ def worst_critical_direction(
     triple: MultiplierTriple,
     n_restarts: int = 8,
     max_iters: int = 100,
-    eps_act: float = 1e-8,
-    tol: float = 1e-8,
     seed: int = 42,
 ) -> WorstDirectionResult:
     """Search the discrete sufficient cone for a low-curvature unit direction.
@@ -453,7 +458,7 @@ def worst_critical_direction(
     """
     if n_restarts < 1:
         raise ValueError("n_restarts must be at least 1")
-    search = _CurvatureSearch(ws, triple, eps_act, tol)
+    search = _CurvatureSearch(ws, triple)
     rng = np.random.default_rng(seed)
     grid = ws.traj.grid
     k = grid.n_intervals + 1
@@ -486,8 +491,6 @@ def random_critical_directions(
     ws: SecondOrderWorkspace,
     count: int,
     seed: int = 42,
-    eps_act: float = 1e-8,
-    tol: float = 1e-8,
 ) -> list[Direction]:
     """Seeded random unit directions projected into the discrete cone.
 
@@ -502,12 +505,12 @@ def random_critical_directions(
     while len(out) < count and attempts < 4 * count:
         attempts += 1
         u = rng.standard_normal((k, ws.problem.l))
-        u, x, _ = ws.project_cone(u, eps_act, tol, max_passes=300)
+        u, x, _ = ws.project_cone(u, max_passes=300)
         nrm = l2_norm(u, grid)
         if nrm < 1e-12:
             continue
         cand = Direction(grid, x / nrm, u / nrm)
-        if ws.membership(cand, "sufficient", eps_act, tol).passed:
+        if ws.membership(cand, "sufficient").passed:
             out.append(cand)
     return out
 
@@ -547,9 +550,6 @@ def socn_verdict(
     ws: SecondOrderWorkspace,
     directions: list,
     lambda_points: int = 21,
-    tol: float = 1e-8,
-    eps_act: float = 1e-8,
-    tolerances: Tolerances = Tolerances(),
 ) -> SocnFragment:
     """For each critical direction, look for a weight whose recovered triple
     has nonnegative curvature; report the first direction where none exists.
@@ -561,7 +561,7 @@ def socn_verdict(
     verdict = "holds"
     tested = 0
     for idx, direction in enumerate(directions):
-        membership = ws.membership(direction, "necessary", eps_act, tol)
+        membership = ws.membership(direction, "necessary")
         if not membership.passed:
             skipped.append({
                 "index": idx,
@@ -575,7 +575,7 @@ def socn_verdict(
         kkt_valid = 0
         for i, lam in enumerate(weights):
             if i not in solved:
-                solved[i] = ws.solve(lam, tolerances)
+                solved[i] = ws.solve(lam)
             p, theta, report = solved[i]
             if not report.passed:
                 q_by_weight.append({"lambda": [float(v) for v in lam],
@@ -586,7 +586,7 @@ def socn_verdict(
             q = ws.curvature(triple, direction).q_value
             q_by_weight.append({"lambda": [float(v) for v in lam],
                                 "kkt_passed": True, "q_value": float(q)})
-            if q >= -tol:
+            if q >= -ws.tol:
                 found = {"lambda": [float(v) for v in lam], "q_value": float(q)}
                 break
         entry = {
@@ -617,7 +617,7 @@ def socn_verdict(
         skipped=skipped,
         results=results,
         weight_grid=[[float(v) for v in lam] for lam in weights],
-        tol=tol,
+        tol=ws.tol,
     )
 
 
@@ -661,13 +661,11 @@ def socs_verdict(
     gamma0: float,
     n_probes: int = 50,
     max_iters: int = 100,
-    tol: float = 1e-8,
-    eps_act: float = 1e-8,
-    tolerances: Tolerances = Tolerances(),
     seed: int = 42,
 ) -> SocsFragment:
     """Sufficient-condition pipeline at one multiplier triple."""
-    kkt_report = ws.residuals(triple.lam, triple.p, triple.theta, tolerances)
+    tol = ws.tol
+    kkt_report = ws.residuals(triple.lam, triple.p, triple.theta)
     if not kkt_report.passed:
         return SocsFragment("fail", "kkt", kkt_report.to_dict(), None, None,
                             _SOCS_CAVEAT, tol)
@@ -675,10 +673,8 @@ def socs_verdict(
     if not coercivity.passed:
         return SocsFragment("fail", "coercivity", kkt_report.to_dict(),
                             coercivity.to_dict(), None, _SOCS_CAVEAT, tol)
-    search = worst_critical_direction(
-        ws, triple, n_restarts=n_probes, max_iters=max_iters,
-        eps_act=eps_act, tol=tol, seed=seed,
-    )
+    search = worst_critical_direction(ws, triple, n_restarts=n_probes,
+                                      max_iters=max_iters, seed=seed)
     min_q = min(search.restart_values) if search.restart_values else search.q_value
     # probes are normalized to unit control norm, so the threshold is plain tol
     if min_q <= tol:

@@ -46,7 +46,6 @@ __all__ = [
     "compile_rk4",
     "integrate_state",
     "state_residual",
-    "linearized_state",
     "dynamics_jacobians",
     "LinearStateMap",
     "BackwardLinearMap",
@@ -436,15 +435,6 @@ def dynamics_jacobians(problem: Problem, traj: Trajectory):
         for j in range(problem.l):
             B[:, i, j] = node_values(problem, table.grad[problem.n + j], traj)
     return A, B
-
-
-def linearized_state(problem: Problem, traj: Trajectory, u_dir: np.ndarray) -> np.ndarray:
-    """Response of the dynamics linearized along traj: x' = phi_x x + phi_u u_dir."""
-    u_dir = np.asarray(u_dir, dtype=float)
-    k = traj.grid.n_intervals + 1
-    if u_dir.shape != (k, problem.l):
-        raise GridMismatchError(f"direction shape {u_dir.shape} != {(k, problem.l)}")
-    return LinearStateMap(*dynamics_jacobians(problem, traj), traj.grid).apply(u_dir)
 
 
 # ---------------------------------------------------------------------------

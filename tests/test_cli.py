@@ -442,6 +442,67 @@ class TestCertificateProperties:
         assert load_cert(out)["seed"] == 99
 
 
+RESIDUAL_KEYS = {"stationarity", "adjoint", "terminal", "sign", "complementarity",
+                 "feasibility", "state"}
+
+
+def recorded_thresholds(node, path=""):
+    """(path, value) of every 'tol', 'eps_act' and 'tolerances' entry."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            here = f"{path}.{key}" if path else key
+            if key in ("tol", "eps_act", "tolerances"):
+                yield here, value
+            else:
+                yield from recorded_thresholds(value, here)
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from recorded_thresholds(value, f"{path}[{i}]")
+
+
+class TestThresholds:
+    KKT = ("check-kkt", "builtin:damped_pendulum", "--lambda", "0.5,0.5", "--grid", "40")
+    SOCN = ("check-socn", "builtin:example_6_1", "--grid", "40", "--probes", "3",
+            "--lambda-grid", "3")
+    SOCS = ("check-socs", "builtin:example_6_1", "--grid", "40", "--probes", "2",
+            "--lambda", "0.5,0.5", "--gamma0", "0.5")
+
+    @pytest.mark.parametrize("argv,required", [
+        (SOCN, {"tolerances", "fragments.socn.tol",
+                "fragments.socn.results[0].membership.tol",
+                "fragments.socn.results[0].membership.eps_act"}),
+        (SOCS, {"tolerances", "fragments.socs.kkt.tolerances", "fragments.socs.tol"}),
+    ])
+    def test_one_value_recorded_everywhere(self, capsys, argv, required):
+        code, out, err = run_cli(capsys, *argv, "--tol", "1e-6", "--eps-act", "1e-5")
+        assert code == 0, err
+        recorded = dict(recorded_thresholds(load_cert(out)))
+        assert required <= recorded.keys()
+        for path, value in recorded.items():
+            if path.endswith("tolerances"):
+                assert value == dict.fromkeys(RESIDUAL_KEYS, 1e-6), path
+            elif path.endswith("eps_act"):
+                assert value == 1e-5, path
+            else:
+                assert value == 1e-6, path
+
+    @pytest.mark.parametrize("argv,flag,value", [
+        (KKT, "--tol", "inf"),
+        (KKT, "--tol", "0"),
+        (SOCN, "--tol", "nan"),
+        (SOCS, "--tol", "-1e-6"),
+        (("findim", "unread.json", "--zbar", "0,0"), "--tol", "nan"),
+        (SOCN, "--eps-act", "nan"),
+        (SOCN, "--eps-act", "-1e-3"),
+        (SOCS, "--eps-act", "inf"),
+    ])
+    def test_invalid_threshold_is_usage_error(self, capsys, argv, flag, value):
+        code, out, err = run_cli(capsys, *argv, f"{flag}={value}")
+        assert code == 1
+        assert out == ""
+        assert f"argument {flag}: must be a finite" in err
+
+
 class TestConstructionContract:
     """Each request builds one field table and one backward map, and only the
     maps its command uses; a problem file's expressions are parsed once, and

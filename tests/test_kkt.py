@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from paretocert.kkt import H2ViolationError, KktWorkspace, MultiplierTriple, Tolerances
+from paretocert.kkt import (
+    FIXED_POINT_MAX_ITERATIONS,
+    RESIDUAL_NAMES,
+    H2ViolationError,
+    KktWorkspace,
+    MultiplierTriple,
+)
 from paretocert.problem import builtin, load_problem
 from paretocert.trajectory import Grid, Trajectory, integrate_state, quad_weights, quadrature
 
@@ -111,16 +117,16 @@ class TestSolveKktSystem:
         # expansive; the solver must surface that instead of hiding it
         doc = {
             "n": 1, "l": 1, "m": 1, "x0": [0.0],
-            "L": ["x1^2 + u1^2"], "phi": ["u1"], "g": "10*x1 - u1 - 1",
+            "L": ["x1^2 + u1^2"], "phi": ["u1"], "g": "50*x1 - u1 - 1",
         }
         p = load_problem(doc)
         grid = Grid(60)
         u = 0.1 * np.ones((61, 1))
         traj = integrate_state(p, u, grid)
-        _, _, report = KktWorkspace(p, traj).solve((1.0,), max_iterations=30)
+        _, _, report = KktWorkspace(p, traj).solve((1.0,))
         assert not report.converged
         assert not report.passed
-        assert report.iterations == 30
+        assert report.iterations == FIXED_POINT_MAX_ITERATIONS
 
     def test_coupled_fixed_point_converges(self):
         # theta couples back into the adjoint through g_x = 0.5, weakly
@@ -188,13 +194,16 @@ class TestKktResiduals:
         assert not report.passed
 
     def test_custom_tolerances_flow_through(self):
+        # a sign violation of 1e-4 fails the default tolerance, passes 1e-3
         p = builtin("example_6_1")
         traj = zero_traj(p)
-        triple = MultiplierTriple(np.asarray(UNIT), np.zeros((101, 2)), np.zeros(101))
-        report = KktWorkspace(p, traj).residuals(triple.lam, triple.p, triple.theta,
-                                                 Tolerances.uniform(1e-3))
-        assert report.tolerances.stationarity == 1e-3
+        triple = MultiplierTriple(np.asarray(UNIT), np.zeros((101, 2)), -1e-4 * np.ones(101))
+        strict = KktWorkspace(p, traj).residuals(triple.lam, triple.p, triple.theta)
+        assert not strict.passed
+        report = KktWorkspace(p, traj, tol=1e-3).residuals(triple.lam, triple.p, triple.theta)
         assert report.passed
+        assert report.tol == 1e-3
+        assert report.to_dict()["tolerances"] == dict.fromkeys(RESIDUAL_NAMES, 1e-3)
 
     def test_report_serialises(self):
         import json

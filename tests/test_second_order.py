@@ -19,7 +19,6 @@ from paretocert.trajectory import (
     Grid,
     GridMismatchError,
     integrate_state,
-    linearized_state,
     quad_weights,
     quadrature,
 )
@@ -79,9 +78,9 @@ class TestIsCritical:
         k = 61
         rng = np.random.default_rng(0)
         u = rng.standard_normal((k, 2))
-        x = linearized_state(p, traj, u)
-        d = Direction(traj.grid, x, u)
         ws = SecondOrderWorkspace(p, traj)
+        x = ws.linmap.apply(u)
+        d = Direction(traj.grid, x, u)
         base = ws.membership(d)
         doubled = ws.membership(Direction(traj.grid, 2 * x, 2 * u))
         assert doubled.c3_residual == pytest.approx(2 * base.c3_residual, rel=1e-12)
@@ -99,10 +98,21 @@ class TestIsCritical:
         traj = zero_traj(p, 40)
         k = 41
         u = 5 * np.ones((k, 1))
-        x = linearized_state(p, traj, u)
-        cm = SecondOrderWorkspace(p, traj).membership(Direction(traj.grid, x, u))
+        ws = SecondOrderWorkspace(p, traj)
+        cm = ws.membership(Direction(traj.grid, ws.linmap.apply(u), u))
         assert len(cm.active_nodes) == 0
         assert cm.c3_residual == 0.0
+
+    def test_activity_threshold_is_the_workspaces(self):
+        p = builtin("damped_pendulum")  # g = -10 at every node
+        traj = zero_traj(p, 40)
+        u = 5 * np.ones((41, 1))
+        ws = SecondOrderWorkspace(p, traj, tol=1e-6, eps_act=10.0)
+        cm = ws.membership(Direction(traj.grid, ws.linmap.apply(u), u))
+        assert len(cm.active_nodes) == 41
+        assert cm.c3_residual == pytest.approx(5.0)
+        assert not cm.passed
+        assert (cm.eps_act, cm.tol) == (10.0, 1e-6)
 
     def test_grid_mismatch(self):
         ws = zero_ws(builtin("example_6_1"), 50)
@@ -143,9 +153,10 @@ class TestQuadraticForm:
         rng = np.random.default_rng(4)
         k = 151
         u = rng.standard_normal((k, 2))
-        x = linearized_state(p, traj, u)
+        ws = SecondOrderWorkspace(p, traj)
+        x = ws.linmap.apply(u)
         d = Direction(traj.grid, x, u)
-        report = SecondOrderWorkspace(p, traj).curvature(zero_triple(p, traj.grid, (0.5, 0.5)), d)
+        report = ws.curvature(zero_triple(p, traj.grid, (0.5, 0.5)), d)
         # independent evaluation of the integrand
         expected = quadrature((x**2).sum(axis=1) + (u**2).sum(axis=1), traj.grid)
         assert report.q_value == pytest.approx(expected, rel=1e-12)
@@ -161,8 +172,8 @@ class TestQuadraticForm:
                                   rng.standard_normal((81, 2)),
                                   rng.standard_normal(81) ** 2)
         u = rng.standard_normal((81, 1))
-        d = Direction(grid, linearized_state(p, traj, u), u)
-        r = SecondOrderWorkspace(p, traj).curvature(triple, d)
+        ws = SecondOrderWorkspace(p, traj)
+        r = ws.curvature(triple, Direction(grid, ws.linmap.apply(u), u))
         assert r.q_value == pytest.approx(
             r.cost_term + r.dynamics_term + r.constraint_term, abs=1e-12)
 
@@ -210,8 +221,8 @@ class TestWorstDirection:
         triple = zero_triple(p, ws.traj.grid, UNIT)
         result = worst_critical_direction(ws, triple, n_restarts=3, seed=1)
         assert result.q_value < 0
-        cm = ws.membership(result.direction, tol=1e-6)
-        assert cm.passed
+        cm = ws.membership(result.direction)
+        assert max(cm.c1_residual, cm.c2_residual, cm.c3_residual) <= 1e-6
 
     def test_quadratic_example_stays_positive(self):
         p = builtin("example_6_1")
@@ -238,13 +249,14 @@ class TestWorstDirection:
         p = load_problem(doc)
         n_grid = 16
         traj = zero_traj(p, n_grid)
+        ws = SecondOrderWorkspace(p, traj)
         k = n_grid + 1
         w = quad_weights(traj.grid)
         columns = []
         for j in range(k):
             e = np.zeros((k, 1))
             e[j, 0] = 1.0
-            x = linearized_state(p, traj, e)
+            x = ws.linmap.apply(e)
             columns.append(np.hstack([x, e]))
         # bilinear form matrix and control Gram matrix
         M = np.empty((k, k))
@@ -259,8 +271,7 @@ class TestWorstDirection:
 
         lam_min = eigh(M, G, eigvals_only=True)[0]
         triple = zero_triple(p, traj.grid, (1.0,))
-        result = worst_critical_direction(SecondOrderWorkspace(p, traj), triple,
-                                          n_restarts=4, max_iters=500, seed=3)
+        result = worst_critical_direction(ws, triple, n_restarts=4, max_iters=500, seed=3)
         assert result.q_value == pytest.approx(lam_min, abs=1e-6)
 
     def test_search_gradient_is_exact(self):
@@ -274,7 +285,7 @@ class TestWorstDirection:
         triple = MultiplierTriple(np.array([0.6, 0.8]),
                                   rng.standard_normal((31, 2)),
                                   rng.standard_normal(31) ** 2)
-        search = _CurvatureSearch(ws, triple, eps_act=1e-8, tol=1e-8)
+        search = _CurvatureSearch(ws, triple)
         u = rng.standard_normal((31, 1))
         x = ws.linmap.apply(u)
         grad = search.gradient(x, u)
@@ -292,7 +303,7 @@ class TestRandomProbes:
         dirs = random_critical_directions(ws, 10, seed=0)
         assert len(dirs) == 10
         for d in dirs:
-            assert ws.membership(d, "sufficient", 1e-8, 1e-8).passed
+            assert ws.membership(d, "sufficient").passed
 
 
 class TestSimplexGrids:

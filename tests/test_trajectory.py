@@ -7,6 +7,7 @@ import pytest
 
 from paretocert import trajectory
 from paretocert.problem import builtin, load_problem, node_values
+from paretocert.second_order import SecondOrderWorkspace
 from paretocert.trajectory import (
     BackwardLinearMap,
     Direction,
@@ -21,7 +22,6 @@ from paretocert.trajectory import (
     hessian_blocks,
     integrate_state,
     l2_norm,
-    linearized_state,
     quadrature,
     state_residual,
 )
@@ -253,29 +253,31 @@ class TestStateResidual:
 
 
 class TestLinearizedState:
+    """The workspace's linear state map: x' = phi_x x + phi_u u along traj."""
+
     def test_constant_direction_at_origin(self):
         p = builtin("example_6_1")
         traj = zero_traj(p, 64)
-        x_dir = linearized_state(p, traj, np.ones((65, 2)))
+        x_dir = SecondOrderWorkspace(p, traj).linmap.apply(np.ones((65, 2)))
         expected = np.stack([traj.grid.nodes, traj.grid.nodes], axis=1)
         assert np.max(np.abs(x_dir - expected)) <= 1e-12
 
     def test_zero_input_zero_output(self):
         p = builtin("damped_pendulum")
-        traj = zero_traj(p, 32)
-        assert np.max(np.abs(linearized_state(p, traj, np.zeros((33, 1))))) == 0.0
+        linmap = SecondOrderWorkspace(p, zero_traj(p, 32)).linmap
+        assert np.max(np.abs(linmap.apply(np.zeros((33, 1))))) == 0.0
 
     def test_superposition(self):
         p = builtin("damped_pendulum")
         grid = Grid(50)
         u_ref = 0.3 * np.cos(2 * grid.nodes)[:, None]
-        traj = integrate_state(p, u_ref, grid)
+        linmap = SecondOrderWorkspace(p, integrate_state(p, u_ref, grid)).linmap
         rng = np.random.default_rng(1)
         u1 = rng.normal(size=(51, 1))
         u2 = rng.normal(size=(51, 1))
         a, b = 0.7, -1.3
-        lhs = linearized_state(p, traj, a * u1 + b * u2)
-        rhs = a * linearized_state(p, traj, u1) + b * linearized_state(p, traj, u2)
+        lhs = linmap.apply(a * u1 + b * u2)
+        rhs = a * linmap.apply(u1) + b * linmap.apply(u2)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
