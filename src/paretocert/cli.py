@@ -7,8 +7,11 @@ field.  Only check-socn and check-socs draw random numbers or read an
 activity threshold, so only they take --seed and --eps-act; check-kkt and
 findim record seed as null, and findim records grid_n as null too.  One
 --tol bounds every residual of a request (and, for the second-order
-commands, cone membership and the curvature signs); it must be positive and
-finite, and --eps-act finite and nonnegative.
+commands, cone membership and the curvature signs).  --tol, --gamma0 and
+--radius must be positive and finite, and --eps-act finite and nonnegative.
+When the constraint-sensitivity (H2) gate fails, check-kkt records a stub
+kkt fragment instead of solving for multipliers, as the second-order
+commands record a gated fragment.
 """
 
 from __future__ import annotations
@@ -208,8 +211,12 @@ def _cmd_check_kkt(args) -> int:
     traj = _load_trajectory(args, problem)
     ws = KktWorkspace(problem, traj, args.tol)
     fragments = _gate_fragments(ws)
-    _, _, report = ws.solve(lam)
-    fragments["kkt"] = report.to_dict()
+    if fragments["h2"]["passed"]:
+        _, _, report = ws.solve(lam)
+        fragments["kkt"] = report.to_dict()
+    else:
+        fragments["kkt"] = {"passed": False, "tol": ws.tol,
+                            "note": "h2 gate failed; multipliers not recovered"}
     params = {"lambda": [float(v) for v in lam]}
     return _finish(args, "check-kkt", fragments, tolerance_record(ws.tol), params, started,
                    name=problem.name, digest=cert.problem_hash(problem),
@@ -253,8 +260,8 @@ def _cmd_check_socs(args) -> int:
     started = time.perf_counter()
     problem = _load_problem_arg(args.problem)
     lam = _lambda_arg(args, problem.m)
-    if args.gamma0 is None or args.gamma0 <= 0:
-        raise _UsageError("--gamma0 must be a positive number")
+    if args.gamma0 is None:
+        raise _UsageError("--gamma0 is required")
     if args.probes < 1:
         raise _UsageError("--probes must be at least 1")
     traj = _load_trajectory(args, problem)
@@ -281,8 +288,6 @@ def _cmd_findim(args) -> int:
     started = time.perf_counter()
     if args.steps < 3:
         raise _UsageError("--steps must be at least 3")
-    if not args.radius > 0:
-        raise _UsageError("--radius must be a positive number")
     if args.lambda_grid < 1:
         raise _UsageError("--lambda-grid must be at least 1")
     try:
@@ -434,7 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-socs", help="second-order sufficient condition check")
     common(p, needs_lambda=True)
     second_order(p)
-    p.add_argument("--gamma0", type=float, help="control-coercivity threshold")
+    p.add_argument("--gamma0", type=_threshold(allow_zero=False),
+                   help="control-coercivity threshold")
     p.add_argument("--probes", type=int, default=50, help="worst-direction restarts")
     p.add_argument("--max-iters", type=int, default=100, dest="max_iters",
                    help="descent iterations per restart")
@@ -444,7 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("problem", help="finite-dimensional problem JSON file")
     p.add_argument("--zbar", help="comma-separated candidate point")
     p.add_argument("--dir", action="append", help="critical direction (repeatable)")
-    p.add_argument("--radius", type=float, default=0.25, help="oracle ball radius")
+    p.add_argument("--radius", type=_threshold(allow_zero=False), default=0.25,
+                   help="oracle ball radius")
     p.add_argument("--steps", type=int, default=12, help="oracle grid steps per side")
     p.add_argument("--lambda-grid", type=int, default=21, dest="lambda_grid")
     p.add_argument("--tol", type=_threshold(allow_zero=False), default=1e-8)

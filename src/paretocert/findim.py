@@ -327,8 +327,8 @@ def weak_pareto_oracle(point: FinDimPoint, radius: float, steps: int) -> bool:
     improves every objective by more than 1e-12.  A domain error at any grid
     point raises ``expr.EvalDomainError``.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not (np.isfinite(radius) and radius > 0):
+        raise ValueError("radius must be a finite positive number")
     if steps < 3:
         raise ValueError("steps must be at least 3")
     problem, zbar = point.problem, point.z

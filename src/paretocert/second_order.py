@@ -294,8 +294,8 @@ class SecondOrderWorkspace(KktWorkspace):
 
 def coercivity_check(ws: SecondOrderWorkspace, lam, gamma0: float) -> CoercivityReport:
     """Uniform positive-definiteness of lambda^T L_uu along the trajectory."""
-    if gamma0 <= 0:
-        raise ValueError("gamma0 must be positive")
+    if not (np.isfinite(gamma0) and gamma0 > 0):
+        raise ValueError("gamma0 must be a finite positive number")
     n = ws.problem.n
     blocks = np.einsum("j,jkab->kab", np.asarray(lam, dtype=float),
                        ws.hessians.L[:, :, n:, n:])

@@ -7,7 +7,8 @@ Discretisation conventions, used consistently everywhere:
 * integrals use the composite trapezoid rule on node samples;
 * ODEs (state, adjoint, linearized state) use one classical 4th-order
   one-step method per interval, with node quantities averaged at the
-  midpoint stage.
+  midpoint stage; the two linear ones share one builder of the step's
+  transition and node source maps.
 
 The nonlinear state equation is integrated by one Python loop generated
 from the dynamics expressions (:func:`compile_rk4`) and cached on the
@@ -46,7 +47,6 @@ __all__ = [
     "compile_rk4",
     "integrate_state",
     "state_residual",
-    "dynamics_jacobians",
     "LinearStateMap",
     "BackwardLinearMap",
     "TrajectoryFields",
@@ -279,12 +279,15 @@ def _state_defect(problem: Problem, traj: Trajectory, f: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # Linear propagation machinery
 #
-# For x' = A(t) x + r(t) the one-step method gives an affine recurrence
-# x_{k+1} = Phi_k x_k + d_k with d_k linear in the node samples of r.  The
-# per-interval maps are precomputed in batch.  With x_0 = 0 the recurrence
-# over all steps is one unit block-lower-bidiagonal linear system, solved as
-# a band by a single LAPACK call; the same band solved with trans="T" gives
-# the exact discrete adjoint.
+# The linearized state equation and the adjoint equation are both
+# x' = A(t) x + r(t) with r linear between nodes (the adjoint run backward in
+# time, as a forward system in tau = 1 - t).  One RK4 step of it is
+# x_{k+1} = Phi_k x_k + G0_k r_k + G1_k r_{k+1}; _stage_maps builds Phi, G0
+# and G1 for every interval in batch, and _offsets applies the two node
+# source maps.  With x_0 = 0 the recurrence over all steps is one unit
+# block-lower-bidiagonal linear system, solved as a band by a single LAPACK
+# call; the same band solved with trans="T" gives the exact discrete
+# transpose.
 
 
 class _AffineScan:
@@ -316,42 +319,47 @@ class _AffineScan:
 
 
 def _stage_maps(A: np.ndarray, h: float):
-    """Transition Phi and source maps (P0, Pm, Pe) for every interval.
+    """Transition Phi and node source maps (G0, G1) of every RK4 step.
 
-    d_k = P0 r_k + Pm r_mid + Pe r_{k+1}, with r_mid the node average.
+    For x' = A x + r with A and r linear between nodes (the midpoint stages
+    see the node averages), one step is
+    x_{k+1} = Phi_k x_k + G0_k r_k + G1_k r_{k+1}.  Each map is the stage
+    recursion written out in closed form: Phi takes three batched products,
+    G0 two and G1 one.
     """
-    n = A.shape[-1]
-    eye = np.eye(n)
+    eye = np.eye(A.shape[-1])
+    half = 0.5 * eye
     a0, ae = A[:-1], A[1:]
     am = 0.5 * (a0 + ae)
 
-    def mat(x, y):
-        return np.einsum("kij,kjl->kil", x, y)
-
     k1 = a0
-    k2 = mat(am, eye + (h / 2) * k1)
-    k3 = mat(am, eye + (h / 2) * k2)
-    k4 = mat(ae, eye + h * k3)
+    k2 = am @ (eye + (h / 2) * k1)
+    k3 = am @ (eye + (h / 2) * k2)
+    k4 = ae @ (eye + h * k3)
     phi = eye + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
-    def source_map(r0, rm, re):
-        c1 = r0
-        c2 = (h / 2) * mat(am, c1) + rm
-        c3 = (h / 2) * mat(am, c2) + rm
-        c4 = h * mat(ae, c3) + re
-        return (h / 6) * (c1 + 2 * c2 + 2 * c3 + c4)
+    # stage sources c2..c4 as maps of r_k (stage 1 sees r_k itself) ...
+    c2 = (h / 2) * am + half
+    c3 = (h / 2) * (am @ c2) + half
+    c4 = h * (ae @ c3)
+    g0 = (h / 6) * (eye + 2 * c2 + 2 * c3 + c4)
+    # ... and of r_{k+1} (stage 1 does not see it, stage 2 sees half of it)
+    c3 = (h / 4) * am + half
+    c4 = h * (ae @ c3) + eye
+    g1 = (h / 6) * (eye + 2 * c3 + c4)
+    return phi, g0, g1
 
-    zeros = np.zeros_like(a0)
-    eye_b = np.broadcast_to(eye, a0.shape)
-    p0 = source_map(eye_b, zeros, zeros)
-    pm = source_map(zeros, eye_b, zeros)
-    pe = source_map(zeros, zeros, eye_b)
-    return phi, p0, pm, pe
+
+def _offsets(gamma0: np.ndarray, gamma1: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Step offsets gamma0_k r_k + gamma1_k r_{k+1} from node samples r."""
+    return np.einsum("kij,kj->ki", gamma0, r[:-1]) + np.einsum("kij,kj->ki", gamma1, r[1:])
 
 
 class LinearStateMap:
     """Discrete map u -> x for x' = A(t) x + B(t) u, x(0) = 0, plus its transpose.
 
+    The node source maps act on r = B u, so the step offsets are
+    gamma0_k u_k + gamma1_k u_{k+1} with gamma0 = G0 B_k and gamma1 = G1 B_{k+1}.
     The transpose solves the transposed band of the same recurrence, so it
     is the exact adjoint of the discrete forward map:
     <v, apply(u)> == <apply_transpose(v), u> to rounding for the flattened
@@ -362,19 +370,15 @@ class LinearStateMap:
         self.grid = grid
         self.n = A.shape[-1]
         self.l = B.shape[-1]
-        self.phi, p0, pm, pe = _stage_maps(A, grid.h)
-        b0, be = B[:-1], B[1:]
-        self.gamma0 = np.einsum("kij,kjl->kil", p0 + 0.5 * pm, b0)
-        self.gamma1 = np.einsum("kij,kjl->kil", 0.5 * pm + pe, be)
+        self.phi, g0, g1 = _stage_maps(A, grid.h)
+        self.gamma0 = g0 @ B[:-1]
+        self.gamma1 = g1 @ B[1:]
         self._scan = _AffineScan(self.phi)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """State response x (N+1, n) to nodal controls u (N+1, l)."""
-        d = np.einsum("kij,kj->ki", self.gamma0, u[:-1]) + np.einsum(
-            "kij,kj->ki", self.gamma1, u[1:]
-        )
         x = np.zeros((len(u), self.n))
-        x[1:] = self._scan.run(d)
+        x[1:] = self._scan.run(_offsets(self.gamma0, self.gamma1, u))
         return x
 
     def apply_transpose(self, v: np.ndarray) -> np.ndarray:
@@ -389,52 +393,31 @@ class LinearStateMap:
 class BackwardLinearMap:
     """Backward integrator for p' = -A(t)^T p - s(t) with p(1) = 0.
 
-    Runs the time-reversed system q(s) = p(1 - s) forward: its stage maps
-    and the band of its bidiagonal recurrence are precomputed once, so each
-    solve is the source offsets plus one banded triangular solve.
+    Runs the time-reversed system q(tau) = p(1 - tau),
+    q' = A(1 - tau)^T q + s(1 - tau), forward: Phi and the node source maps gamma0, gamma1 of that system
+    (the stage maps of the reversed, transposed A) and the band of its
+    bidiagonal recurrence are built once, so each solve is the step offsets
+    of the reversed source plus one banded triangular solve.
     """
 
     def __init__(self, A: np.ndarray, grid: Grid):
         self.grid = grid
         self.n = A.shape[-1]
         rev = np.swapaxes(A, 1, 2)[::-1]
-        self.phi, self.p0, self.pm, self.pe = _stage_maps(rev, grid.h)
+        self.phi, self.gamma0, self.gamma1 = _stage_maps(rev, grid.h)
         self._scan = _AffineScan(self.phi)
-
-    def _offsets(self, source: np.ndarray) -> np.ndarray:
-        s = source[::-1]
-        s0, se = s[:-1], s[1:]
-        sm = 0.5 * (s0 + se)
-        return (
-            np.einsum("kij,kj->ki", self.p0, s0)
-            + np.einsum("kij,kj->ki", self.pm, sm)
-            + np.einsum("kij,kj->ki", self.pe, se)
-        )
 
     def solve(self, source: np.ndarray) -> np.ndarray:
         q = np.zeros((len(source), self.n))
-        q[1:] = self._scan.run(self._offsets(source))
+        q[1:] = self._scan.run(_offsets(self.gamma0, self.gamma1, source[::-1]))
         return q[::-1].copy()
 
     def defect(self, source: np.ndarray, p: np.ndarray) -> float:
         """Max one-step reproduction defect of given samples p under the scheme."""
         q = p[::-1]
-        d = self._offsets(source)
+        d = _offsets(self.gamma0, self.gamma1, source[::-1])
         pred = np.einsum("kij,kj->ki", self.phi, q[:-1]) + d
         return float(np.max(np.abs(q[1:] - pred)))
-
-
-def dynamics_jacobians(problem: Problem, traj: Trajectory):
-    """phi_x (N+1, n, n) and phi_u (N+1, n, l) along a trajectory."""
-    k = traj.grid.n_intervals + 1
-    A = np.empty((k, problem.n, problem.n))
-    B = np.empty((k, problem.n, problem.l))
-    for i, table in enumerate(problem.phi_derivs):
-        for j in range(problem.n):
-            A[:, i, j] = node_values(problem, table.grad[j], traj)
-        for j in range(problem.l):
-            B[:, i, j] = node_values(problem, table.grad[problem.n + j], traj)
-    return A, B
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +457,8 @@ def build_fields(problem: Problem, traj: Trajectory) -> TrajectoryFields:
     Lu = np.stack([grads(t, np.s_[n:]) for t in problem.L_derivs])
 
     phi = _phi_nodes(problem, traj)
-    phix, phiu = dynamics_jacobians(problem, traj)
+    phix = np.stack([grads(t, np.s_[:n]) for t in problem.phi_derivs], axis=1)
+    phiu = np.stack([grads(t, np.s_[n:]) for t in problem.phi_derivs], axis=1)
 
     g = values(problem.g)
     gx = grads(problem.g_derivs, np.s_[:n])

@@ -87,6 +87,25 @@ class TestCheckKkt:
         assert code == 1
         assert "example_6_1" in err
 
+    @pytest.mark.parametrize("g", ["x1 - 1", "0.000000001*u1 - 1"],
+                             ids=["no-control", "tiny-control"])
+    def test_h2_failure_gives_certificate(self, capsys, tmp_path, g):
+        # the H2 gate fails: no multiplier solve, a stub kkt fragment instead
+        doc = {"name": "h2_fail", "n": 1, "l": 1, "m": 1, "L": ["x1^2 + u1^2"],
+               "phi": ["u1"], "g": g, "x0": [0.0]}
+        path = tmp_path / "h2_fail.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "check-kkt", str(path), "--lambda", "1",
+                                 "--grid", "20")
+        assert code == 2
+        assert err == ""
+        cert = load_cert(out)
+        assert cert["overall_verdict"] == "fail"
+        assert cert["fragments"]["h2"]["passed"] is False
+        kkt = cert["fragments"]["kkt"]
+        assert kkt["passed"] is False
+        assert "h2" in kkt["note"]
+
     def test_certificate_records_no_seed(self, capsys):
         # check-kkt draws no random numbers
         code, out, err = run_cli(capsys, "check-kkt", "builtin:example_6_1",
@@ -501,6 +520,20 @@ class TestThresholds:
         assert code == 1
         assert out == ""
         assert f"argument {flag}: must be a finite" in err
+
+    @pytest.mark.parametrize("argv,flag,value", [
+        (SOCS[:-2], "--gamma0", "nan"),
+        (SOCS[:-2], "--gamma0", "inf"),
+        (SOCS[:-2], "--gamma0", "0"),
+        (("findim", "unread.json", "--zbar", "0,0"), "--radius", "inf"),
+        (("findim", "unread.json", "--zbar", "0,0"), "--radius", "nan"),
+        (("findim", "unread.json", "--zbar", "0,0"), "--radius", "-0.4"),
+    ])
+    def test_invalid_gamma0_or_radius_is_usage_error(self, capsys, argv, flag, value):
+        code, out, err = run_cli(capsys, *argv, f"{flag}={value}")
+        assert code == 1
+        assert out == ""
+        assert f"argument {flag}: must be a finite positive number" in err
 
 
 class TestConstructionContract:

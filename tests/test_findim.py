@@ -295,6 +295,12 @@ class TestWeakParetoOracle:
         with pytest.raises(ValueError):
             weak_pareto_oracle(FinDimPoint(big, np.zeros(5)), radius=0.5, steps=3)
 
+    @pytest.mark.parametrize("radius", [np.nan, np.inf])
+    def test_nonfinite_radius_rejected(self, radius):
+        p, z = fixture("convex_pair")
+        with pytest.raises(ValueError, match="finite"):
+            weak_pareto_oracle(FinDimPoint(p, z), radius=radius, steps=4)
+
 
     @staticmethod
     def reference(p, z, radius, steps, feas_tol=1e-12):

@@ -213,6 +213,11 @@ class TestCoercivity:
         with pytest.raises(ValueError):
             coercivity_check(zero_ws(builtin("example_6_1"), 20), (0.5, 0.5), gamma0=0.0)
 
+    @pytest.mark.parametrize("gamma0", [np.nan, np.inf])
+    def test_nonfinite_gamma0_rejected(self, gamma0):
+        with pytest.raises(ValueError, match="finite"):
+            coercivity_check(zero_ws(builtin("example_6_1"), 20), (0.5, 0.5), gamma0=gamma0)
+
 
 class TestWorstDirection:
     def test_indefinite_example_finds_negative_curvature(self):

@@ -18,7 +18,6 @@ from paretocert.trajectory import (
     Trajectory,
     _AffineScan,
     build_fields,
-    dynamics_jacobians,
     hessian_blocks,
     integrate_state,
     l2_norm,
@@ -368,6 +367,31 @@ class TestBackwardMap:
         p = BackwardLinearMap(A, grid).solve(s)
         np.testing.assert_array_equal(p[-1], np.zeros(2))
 
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_solve_matches_stepwise_rk4(self, n):
+        # independent reference: textbook stages of p' = -A^T p - s stepping
+        # from t = 1 down to t = 0 (step -h) on linearly interpolated data
+        rng = np.random.default_rng(10 + n)
+        n_nodes = 9
+        A = 0.5 * rng.normal(size=(n_nodes, n, n))
+        s = rng.normal(size=(n_nodes, n))
+        grid = Grid(n_nodes - 1)
+        h = -grid.h
+
+        def f(a, src, p):
+            return -a.T @ p - src
+
+        p = np.zeros((n_nodes, n))
+        for k in range(n_nodes - 1, 0, -1):
+            am, sm = 0.5 * (A[k] + A[k - 1]), 0.5 * (s[k] + s[k - 1])
+            k1 = f(A[k], s[k], p[k])
+            k2 = f(am, sm, p[k] + h / 2 * k1)
+            k3 = f(am, sm, p[k] + h / 2 * k2)
+            k4 = f(A[k - 1], s[k - 1], p[k] + h * k3)
+            p[k - 1] = p[k] + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        got = BackwardLinearMap(A, grid).solve(s)
+        np.testing.assert_allclose(got, p, rtol=1e-11, atol=1e-13)
+
     def test_defect_vanishes_on_own_solution(self):
         rng = np.random.default_rng(7)
         grid = Grid(25)
@@ -456,7 +480,8 @@ class TestFields:
     def test_jacobians_on_nonlinear_problem(self):
         p = builtin("damped_pendulum")
         traj = zero_traj(p, 8)
-        A, B = dynamics_jacobians(p, traj)
+        f = build_fields(p, traj)
+        A, B = f.phix, f.phiu
         # phi = (x2, sin(x1) - x2 + u1) at x = (0.5, 0)
         np.testing.assert_allclose(A[0], [[0.0, 1.0], [np.cos(0.5), -1.0]])
         np.testing.assert_allclose(B[0], [[0.0], [1.0]])
