@@ -40,7 +40,7 @@ from .problem import (
 )
 from .second_order import (
     ConeMembership,
-    CurvatureReport,
+    CurvatureForm,
     SecondOrderWorkspace,
     coercivity_check,
     random_critical_directions,

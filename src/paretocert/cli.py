@@ -307,7 +307,7 @@ def _cmd_findim(args) -> int:
         if len(d) != problem.nz:
             raise _UsageError(f"--dir needs {problem.nz} entries")
 
-    point = FinDimPoint(problem, zbar)
+    point = FinDimPoint(problem, zbar, args.tol)
     fragments = {}
     try:
         robinson = robinson_check(point)
@@ -318,14 +318,12 @@ def _cmd_findim(args) -> int:
     dir_entries = []
     oracle_value = None
     if robinson.passed:
-        pairs = multiplier_set_sample(point, n_lambda=args.lambda_grid,
-                                      resid_tol=args.tol)
+        pairs = multiplier_set_sample(point, n_lambda=args.lambda_grid)
         any_failure = False
         for i, d in enumerate(directions):
             entry = {"index": i, "direction": [float(v) for v in d]}
             try:
-                curvature, verdict = second_order_necessary_check(
-                    point, d, pairs, tol=args.tol)
+                curvature, verdict = second_order_necessary_check(point, d, pairs)
             except NotCriticalError as err:
                 entry["critical"] = False
                 entry["note"] = str(err)
@@ -355,7 +353,7 @@ def _cmd_findim(args) -> int:
     fragments["directions"] = dir_entries
     params = {"zbar": [float(v) for v in zbar], "radius": args.radius,
               "steps": args.steps, "lambda_grid": args.lambda_grid}
-    return _finish(args, "findim", fragments, {"tol": args.tol}, params, started,
+    return _finish(args, "findim", fragments, {"tol": point.tol}, params, started,
                    name=None, digest=cert.findim_hash(problem), grid_n=None, seed=None)
 
 

@@ -16,14 +16,16 @@ cone to the nonpositive orthant makes every ingredient finitely checkable:
 
 Loading builds one derivative table per expression (``expr.deriv_table``,
 as for the control problems).  A request holds one ``FinDimPoint``: zbar
-with f, G, the active set and the Jacobians and Hessians of f and G there,
-each evaluated on first use.  Every check takes the point as its first
-argument, so the regularity check, the multiplier sample, every direction
-and the oracle's reference values read the same numbers, and the first
-quantity that fails to evaluate names the expression at fault.  The
-activity threshold and the feasibility margins are module constants.  The
-oracle evaluates on an open grid, one coordinate axis per variable, and
-broadcasting spans the full grid.
+with the request's tolerance, and f, G, the active set and the Jacobians
+and Hessians of f and G there, each evaluated on first use.  Every check
+takes the point as its first argument, so the regularity check, the
+multiplier sample, every direction and the oracle's reference values read
+the same numbers, and the first quantity that fails to evaluate names the
+expression at fault.  The point's tolerance bounds the multiplier residuals
+and the criticality and curvature signs; the activity threshold and the
+feasibility margins are module constants.  The oracle evaluates on an open
+grid, one coordinate axis per variable, and broadcasting spans the full
+grid.
 """
 
 from __future__ import annotations
@@ -107,13 +109,15 @@ def _at_zbar(trees_of):
 
 
 class FinDimPoint:
-    """A program at one point zbar, with f, G, the active set and the
-    Jacobians and Hessians of f and G there, each evaluated on first use and
-    kept; every check of a request reads the same point."""
+    """A program at one point zbar with the request's tolerance tol, and f,
+    G, the active set and the Jacobians and Hessians of f and G there, each
+    evaluated on first use and kept; every check of a request reads the same
+    point."""
 
-    def __init__(self, problem: FinDimProblem, zbar):
+    def __init__(self, problem: FinDimProblem, zbar, tol: float = 1e-8):
         self.problem, self.z = problem, np.asarray(zbar, dtype=float)
         self.m, self.nz = problem.m, problem.nz
+        self.tol = tol
 
     def _evaluate(self, trees) -> np.ndarray:
         """Values at zbar of nested tuples of trees, as an array of that shape."""
@@ -261,14 +265,13 @@ class MultiplierPair:
         }
 
 
-def multiplier_set_sample(point: FinDimPoint, n_lambda: int = 21,
-                          resid_tol: float = 1e-8) -> list[MultiplierPair]:
+def multiplier_set_sample(point: FinDimPoint, n_lambda: int = 21) -> list[MultiplierPair]:
     """Sample the normalized multiplier set on a weight grid.
 
     For each unit-norm weight, the orthant multipliers on the active rows
     minimize the stationarity residual in the least-squares sense subject to
     e >= 0 (Lawson-Hanson active-set iteration); pairs whose residual exceeds
-    resid_tol are discarded.  An empty list is itself diagnostic.
+    the point's tol are discarded.  An empty list is itself diagnostic.
     """
     point.f  # before its derivatives, so that a domain error names f
     fj, gj, active = point.f_jacobian, point.g_jacobian, point.active
@@ -280,7 +283,7 @@ def multiplier_set_sample(point: FinDimPoint, n_lambda: int = 21,
             sol, _ = nnls(gj[active].T, b)
             e[active] = sol
         residual = float(np.linalg.norm(lam @ fj + e @ gj))
-        if residual <= resid_tol:
+        if residual <= point.tol:
             pairs.append(MultiplierPair(lam.copy(), e, residual))
     return pairs
 
@@ -289,17 +292,16 @@ def multiplier_set_sample(point: FinDimPoint, n_lambda: int = 21,
 # Second-order necessary test and brute-force oracle
 
 
-def second_order_necessary_check(point: FinDimPoint, d, pairs: list[MultiplierPair],
-                                 tol: float = 1e-9):
+def second_order_necessary_check(point: FinDimPoint, d, pairs: list[MultiplierPair]):
     """Max Lagrangian curvature along d over the sampled pairs.
 
-    d must be critical: grad f(zbar) d <= tol componentwise and
-    grad G_k(zbar) d <= tol for active k.  The curvature is linear in
-    (lambda, e), so the supremum over the sampled set is the max over the
-    list.  Returns (max_curvature, verdict) with verdict true iff some pair
-    gives curvature >= -tol.
+    With tol the point's tolerance, d must be critical: grad f(zbar) d <= tol
+    componentwise and grad G_k(zbar) d <= tol for active k.  The curvature is
+    linear in (lambda, e), so the supremum over the sampled set is the max
+    over the list.  Returns (max_curvature, verdict) with verdict true iff
+    some pair gives curvature >= -tol.
     """
-    d = np.asarray(d, dtype=float)
+    d, tol = np.asarray(d, dtype=float), point.tol
     fj, gj, active = point.f_jacobian, point.g_jacobian, point.active
     f_dir = fj @ d
     if np.any(f_dir > tol):

@@ -20,13 +20,17 @@ necessary cone.
 
 The curvature of a multiplier triple at a direction is
 
-    Q(z) = integral of z^T [ sum_j lam_j L_j'' + sum_i p_i phi_i'' + theta g'' ] z dt
+    Q(z) = integral of z^T W z dt,
+    W = sum_j lam_j L_j'' + sum_i p_i phi_i'' + theta g''
 
-with all Hessians in the stacked (x, u) variables.  The worst-direction
-search minimizes Q over the discrete sufficient cone intersected with the
-unit L2 sphere of the control component; it is a heuristic (projected
-residual descent with exact ratio line search plus alternating projections)
-and every verdict that uses it carries an explicit coverage caveat.
+with all Hessians in the stacked (x, u) variables.  ``CurvatureForm`` builds
+W once per triple and is the only evaluator of Q: the necessary sweep and
+the worst-direction search both read it.  The search minimizes Q over the
+discrete sufficient cone intersected with the unit L2 sphere of the control
+component; it is a heuristic (projected residual descent with exact ratio
+line search plus alternating projections) and every verdict that uses it
+carries an explicit coverage caveat.  Search iterates and random probes are
+put on that sphere by one workspace method, ``project_unit``.
 """
 
 from __future__ import annotations
@@ -46,12 +50,11 @@ from .trajectory import (
     LinearStateMap,
     Trajectory,
     hessian_blocks,
-    l2_norm,
 )
 
 __all__ = [
     "ConeMembership",
-    "CurvatureReport",
+    "CurvatureForm",
     "CoercivityReport",
     "WorstDirectionResult",
     "SocnFragment",
@@ -89,24 +92,6 @@ class ConeMembership:
             "tol": float(self.tol),
             "c1_values": [float(v) for v in self.c1_values],
             "note": "node-wise discrete surrogate of the cone conditions",
-        }
-
-
-@dataclass
-class CurvatureReport:
-    q_value: float
-    cost_term: float
-    dynamics_term: float
-    constraint_term: float
-    direction_norm: float
-
-    def to_dict(self) -> dict:
-        return {
-            "q_value": float(self.q_value),
-            "cost_term": float(self.cost_term),
-            "dynamics_term": float(self.dynamics_term),
-            "constraint_term": float(self.constraint_term),
-            "direction_norm": float(self.direction_norm),
         }
 
 
@@ -191,13 +176,6 @@ class SecondOrderWorkspace(KktWorkspace):
         """Active nodes where g_u is large enough to step along."""
         return self.active & (self.gu_sq > 1e-24)
 
-    def combined_hessian(self, lam, p, theta) -> np.ndarray:
-        h = self.hessians
-        W = np.einsum("j,jkab->kab", np.asarray(lam, dtype=float), h.L)
-        W += np.einsum("ikab,ki->kab", h.phi, np.asarray(p, dtype=float))
-        W += np.asarray(theta, dtype=float)[:, None, None] * h.g
-        return W
-
     def c1_integrals(self, x, u) -> np.ndarray:
         f = self.fields
         vals = np.einsum("jkn,kn->jk", f.Lx, x) + np.einsum("jkl,kl->jk", f.Lu, u)
@@ -235,26 +213,13 @@ class SecondOrderWorkspace(KktWorkspace):
             c1_values=c1_values,
         )
 
-    def curvature(self, triple: MultiplierTriple, direction: Direction) -> CurvatureReport:
-        """Curvature Q of the multiplier triple at a direction, with decomposition."""
-        h = self.hessians
-        z = np.hstack([direction.x, direction.u])
-        per_objective = np.einsum("ka,jkab,kb->jk", z, h.L, z)
-        cost = float((np.asarray(triple.lam, dtype=float) @ per_objective) @ self.w)
-        per_state = np.einsum("ka,ikab,kb->ik", z, h.phi, z)
-        dyn = float(np.einsum("ik,ki->k", per_state, np.asarray(triple.p)) @ self.w)
-        con = float((np.asarray(triple.theta) * np.einsum("ka,kab,kb->k", z, h.g, z)) @ self.w)
-        return CurvatureReport(
-            q_value=cost + dyn + con,
-            cost_term=cost,
-            dynamics_term=dyn,
-            constraint_term=con,
-            direction_norm=l2_norm(direction.u, direction.grid),
-        )
+    def control_dot(self, u1, u2) -> float:
+        """Trapezoid L2 inner product of two control samples."""
+        return float(np.einsum("kl,kl->k", u1, u2) @ self.w)
 
     # -- projection onto the discrete cone (alternating, heuristic) --------
 
-    def project_cone(self, u: np.ndarray, max_passes: int = 40):
+    def project_cone(self, u: np.ndarray, max_passes: int):
         """Alternating projection of controls onto the c1/c3 inequalities.
 
         Node-wise half-space steps treat the state response as frozen and
@@ -287,6 +252,15 @@ class SecondOrderWorkspace(KktWorkspace):
             x = self.linmap.apply(u)
         return u, x, moved
 
+    def project_unit(self, u: np.ndarray, max_passes: int):
+        """project_cone, then scale to unit control norm: (u, x, moved), or
+        None when the projection leaves (almost) the zero control."""
+        u, x, moved = self.project_cone(u, max_passes)
+        nrm = np.sqrt(max(self.control_dot(u, u), 0.0))
+        if nrm < 1e-12:
+            return None
+        return u / nrm, x / nrm, moved
+
 
 # ---------------------------------------------------------------------------
 # Public operations
@@ -312,16 +286,25 @@ def coercivity_check(ws: SecondOrderWorkspace, lam, gamma0: float) -> Coercivity
     )
 
 
-class _CurvatureSearch:
-    """Projected descent for min Q(z(u)) over the cone with ||u||_2 = 1."""
+class CurvatureForm:
+    """The curvature Q of one multiplier triple: W at every node, with Q, its
+    polar bilinear form and its exact gradient in the controls, and the
+    projected descent for min Q(z(u)) over the cone with ||u||_2 = 1."""
 
     def __init__(self, ws: SecondOrderWorkspace, triple: MultiplierTriple):
         self.ws = ws
-        W = ws.combined_hessian(triple.lam, triple.p, triple.theta)
+        h = ws.hessians
+        W = np.einsum("j,jkab->kab", np.asarray(triple.lam, dtype=float), h.L)
+        W += np.einsum("ikab,ki->kab", h.phi, np.asarray(triple.p, dtype=float))
+        W += np.asarray(triple.theta, dtype=float)[:, None, None] * h.g
         self.W = W
-        self.Wsum = W + np.swapaxes(W, 1, 2)
         self.n = ws.problem.n
         self.w = ws.w
+
+    @cached_property
+    def Wsum(self) -> np.ndarray:
+        """W + W^T; only the bilinear form and the gradient read it."""
+        return self.W + np.swapaxes(self.W, 1, 2)
 
     def q_value(self, x, u) -> float:
         z = np.hstack([x, u])
@@ -341,16 +324,6 @@ class _CurvatureSearch:
         v += np.einsum("knl,kl->kn", self.Wsum[:, :n, n:], u)
         return self.w[:, None] * gu + self.ws.linmap.apply_transpose(self.w[:, None] * v)
 
-    def control_dot(self, u1, u2) -> float:
-        return float(np.einsum("kl,kl->k", u1, u2) @ self.w)
-
-    def _normalize_feasible(self, u, passes=3):
-        u, x, moved = self.ws.project_cone(u, max_passes=passes)
-        nrm = np.sqrt(max(self.control_dot(u, u), 0.0))
-        if nrm < 1e-12:
-            return None
-        return u / nrm, x / nrm, moved
-
     def minimize(self, u0: np.ndarray, max_iters: int):
         """Rayleigh-quotient descent: nonlinear CG on the residual direction
         with exact ratio line search; CG memory resets whenever the cone
@@ -359,7 +332,7 @@ class _CurvatureSearch:
         Projection during descent is loose (few alternating passes); the best
         iterate gets a hard projection polish before its value is reported.
         """
-        state = self._normalize_feasible(u0, passes=30)
+        state = self.ws.project_unit(u0, max_passes=30)
         if state is None:
             return None
         u, x, _ = state
@@ -373,19 +346,19 @@ class _CurvatureSearch:
             grad = self.gradient(x, u)
             # Rayleigh residual: vanishes at unconstrained stationarity
             residual = grad - 2.0 * q * (self.w[:, None] * u)
-            rr = self.control_dot(residual, residual)
+            rr = self.ws.control_dot(residual, residual)
             if np.sqrt(rr) <= 1e-12 * (1 + abs(q)):
                 converged = True
                 break
             if direction is None or residual_prev is None:
                 direction = residual
             else:
-                beta = max(0.0, (rr - self.control_dot(residual, residual_prev))
-                           / max(self.control_dot(residual_prev, residual_prev), 1e-300))
+                beta = max(0.0, (rr - self.ws.control_dot(residual, residual_prev))
+                           / max(self.ws.control_dot(residual_prev, residual_prev), 1e-300))
                 direction = residual + beta * direction
             residual_prev = residual
             alpha = self._exact_ratio_step(u, x, direction)
-            state = self._normalize_feasible(u - alpha * direction)
+            state = self.ws.project_unit(u - alpha * direction, max_passes=3)
             if state is None:
                 break
             u, x, moved = state
@@ -403,7 +376,7 @@ class _CurvatureSearch:
             else:
                 stall = 0
             q = q_new
-        polished = self._normalize_feasible(best[1], passes=300)
+        polished = self.ws.project_unit(best[1], max_passes=300)
         if polished is not None:
             u, x, _ = polished
             best = (self.q_value(x, u), u, x)
@@ -415,9 +388,9 @@ class _CurvatureSearch:
         a0 = self.q_value(x, u)
         a1 = self.q_bilinear(x, u, xd, d)
         a2 = self.q_value(xd, d)
-        b0 = self.control_dot(u, u)
-        b1 = self.control_dot(u, d)
-        b2 = self.control_dot(d, d)
+        b0 = self.ws.control_dot(u, u)
+        b1 = self.ws.control_dot(u, d)
+        b2 = self.ws.control_dot(d, d)
         qa = a1 * b2 - a2 * b1
         qb = a2 * b0 - a0 * b2
         qc = a0 * b1 - a1 * b0
@@ -438,7 +411,7 @@ class _CurvatureSearch:
             if best_val is None or val < best_val:
                 best_alpha, best_val = alpha, val
         if best_alpha is None or best_alpha <= 0:
-            gn = np.sqrt(max(self.control_dot(d, d), 1e-30))
+            gn = np.sqrt(max(self.ws.control_dot(d, d), 1e-30))
             return 0.2 / gn
         return float(best_alpha)
 
@@ -458,7 +431,7 @@ def worst_critical_direction(
     """
     if n_restarts < 1:
         raise ValueError("n_restarts must be at least 1")
-    search = _CurvatureSearch(ws, triple)
+    form = CurvatureForm(ws, triple)
     rng = np.random.default_rng(seed)
     grid = ws.traj.grid
     k = grid.n_intervals + 1
@@ -467,7 +440,7 @@ def worst_critical_direction(
     all_converged = True
     for _ in range(n_restarts):
         u0 = rng.standard_normal((k, ws.problem.l))
-        out = search.minimize(u0, max_iters)
+        out = form.minimize(u0, max_iters)
         if out is None:
             all_converged = False
             continue
@@ -504,12 +477,11 @@ def random_critical_directions(
     attempts = 0
     while len(out) < count and attempts < 4 * count:
         attempts += 1
-        u = rng.standard_normal((k, ws.problem.l))
-        u, x, _ = ws.project_cone(u, max_passes=300)
-        nrm = l2_norm(u, grid)
-        if nrm < 1e-12:
+        unit = ws.project_unit(rng.standard_normal((k, ws.problem.l)), max_passes=300)
+        if unit is None:
             continue
-        cand = Direction(grid, x / nrm, u / nrm)
+        u, x, _ = unit
+        cand = Direction(grid, x, u)
         if ws.membership(cand, "sufficient").passed:
             out.append(cand)
     return out
@@ -529,10 +501,6 @@ class SocnFragment:
     results: list
     weight_grid: list
     tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict in ("holds", "vacuous")
 
     def to_dict(self) -> dict:
         return {
@@ -582,8 +550,8 @@ def socn_verdict(
                                     "kkt_passed": False})
                 continue
             kkt_valid += 1
-            triple = MultiplierTriple(lam, p, theta)
-            q = ws.curvature(triple, direction).q_value
+            form = CurvatureForm(ws, MultiplierTriple(lam, p, theta))
+            q = form.q_value(direction.x, direction.u)
             q_by_weight.append({"lambda": [float(v) for v in lam],
                                 "kkt_passed": True, "q_value": float(q)})
             if q >= -ws.tol:
@@ -632,10 +600,6 @@ class SocsFragment:
     search: dict | None
     caveat: str
     tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass-with-caveat"
 
     def to_dict(self) -> dict:
         return {

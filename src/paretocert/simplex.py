@@ -6,13 +6,16 @@ import numpy as np
 
 __all__ = ["simplex_grid", "unit_weight_grid"]
 
+# seed of the random sample used for m > 3, so every call draws the same rows
+SAMPLE_SEED = 0
 
-def simplex_grid(m: int, resolution: int, seed: int = 0) -> np.ndarray:
+
+def simplex_grid(m: int, resolution: int) -> np.ndarray:
     """Rows of nonnegative weights summing to one.
 
     m = 2 uses an even 1-D grid with ``resolution`` points, m = 3 the coarsest
     barycentric refinement with at least ``resolution`` points, and m > 3 a
-    seeded random sample of ``resolution`` points.
+    random sample of ``resolution`` points drawn with SAMPLE_SEED.
     """
     if m < 1 or resolution < 1:
         raise ValueError("m and resolution must be positive")
@@ -31,12 +34,12 @@ def simplex_grid(m: int, resolution: int, seed: int = 0) -> np.ndarray:
             for j in range(depth + 1 - i)
         ]
         return np.array(rows)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SAMPLE_SEED)
     raw = rng.exponential(size=(resolution, m))
     return raw / raw.sum(axis=1, keepdims=True)
 
 
-def unit_weight_grid(m: int, resolution: int, seed: int = 0) -> np.ndarray:
+def unit_weight_grid(m: int, resolution: int) -> np.ndarray:
     """Simplex grid renormalized to Euclidean norm one per row."""
-    grid = simplex_grid(m, resolution, seed)
+    grid = simplex_grid(m, resolution)
     return grid / np.linalg.norm(grid, axis=1, keepdims=True)

@@ -43,7 +43,6 @@ __all__ = [
     "GridMismatchError",
     "quadrature",
     "quad_weights",
-    "l2_norm",
     "compile_rk4",
     "integrate_state",
     "state_residual",
@@ -135,13 +134,6 @@ def quadrature(samples, grid: Grid) -> float:
             f"expected {grid.n_intervals + 1} samples, got {len(samples)}"
         )
     return float(quad_weights(grid) @ samples)
-
-
-def l2_norm(samples, grid: Grid) -> float:
-    """Trapezoid L2 norm of per-node (vector) samples."""
-    samples = np.asarray(samples, dtype=float)
-    sq = samples**2 if samples.ndim == 1 else (samples**2).sum(axis=1)
-    return float(np.sqrt(max(quadrature(sq, grid), 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +419,8 @@ class BackwardLinearMap:
 @dataclass(eq=False)
 class TrajectoryFields:
     """Values and first derivatives of L, phi, g sampled along a reference
-    point; shapes use K = N+1 nodes."""
+    point; shapes use K = N+1 nodes.  build_fields raises IntegrationError,
+    naming the first node, when any entry is not finite."""
 
     grid: Grid
     w: np.ndarray  # (K,) trapezoid weights
@@ -464,11 +457,15 @@ def build_fields(problem: Problem, traj: Trajectory) -> TrajectoryFields:
     gx = grads(problem.g_derivs, np.s_[:n])
     gu = grads(problem.g_derivs, np.s_[n:])
 
-    for label, arr in (("L", L), ("L gradients", Lx), ("dynamics jacobian", phix),
-                       ("constraint", g)):
-        if not np.all(np.isfinite(arr)):
+    # every array of the table, with the axis that indexes its nodes
+    for label, arr, axis in (("L", L, 1), ("L gradients", Lx, 1), ("L gradients", Lu, 1),
+                             ("dynamics", phi, 0), ("dynamics jacobian", phix, 0),
+                             ("dynamics jacobian", phiu, 0), ("constraint", g, 0),
+                             ("constraint gradient", gx, 0), ("constraint gradient", gu, 0)):
+        bad = ~np.isfinite(arr)
+        if np.any(bad):
             raise IntegrationError(f"non-finite {label} values along trajectory",
-                                   int(np.argwhere(~np.isfinite(arr))[0][-1]))
+                                   int(np.nonzero(bad)[axis].min()))
 
     return TrajectoryFields(
         grid=traj.grid,

@@ -23,7 +23,7 @@ from paretocert.findim import (
 )
 from paretocert.kkt import KktWorkspace, MultiplierTriple, _stationarity
 from paretocert.problem import builtin, builtin_names, node_values
-from paretocert.second_order import SecondOrderWorkspace
+from paretocert.second_order import CurvatureForm, SecondOrderWorkspace
 from paretocert.trajectory import (
     Direction,
     Grid,
@@ -60,7 +60,7 @@ def test_criterion_1_indefinite_curvature_value():
     worst = 0.0
     for lam in [(1.0, 0.0), (0.0, 1.0), (1 / np.sqrt(2), 1 / np.sqrt(2)), (0.5, 0.5)]:
         triple = MultiplierTriple(np.asarray(lam), np.zeros((1001, 2)), np.zeros(1001))
-        q = ws.curvature(triple, d).q_value
+        q = CurvatureForm(ws, triple).q_value(d.x, d.u)
         worst = max(worst, abs(q - (-4.0 / 3.0) * sum(lam)))
     elapsed = time.perf_counter() - started
     _report(1, "indefinite-example curvature value", worst <= 1e-5 and elapsed < 1.0,
@@ -217,6 +217,7 @@ def test_criterion_6_homogeneity_and_cone_invariants():
     ws = SecondOrderWorkspace(p, traj)
     triple = MultiplierTriple(np.array([1 / np.sqrt(2)] * 2),
                               np.zeros((201, 2)), np.zeros(201))
+    form = CurvatureForm(ws, triple)
     rng = np.random.default_rng(11)
     worst = 0.0
     checked_members = 0
@@ -224,10 +225,9 @@ def test_criterion_6_homogeneity_and_cone_invariants():
         u = rng.standard_normal((201, 2))
         x = ws.linmap.apply(u)
         d = Direction(traj.grid, x, u)
-        base = ws.curvature(triple, d).q_value
+        base = form.q_value(x, u)
         for alpha in (-1.0, 0.5, 2.0):
-            scaled = Direction(traj.grid, alpha * x, alpha * u)
-            got = ws.curvature(triple, scaled).q_value
+            got = form.q_value(alpha * x, alpha * u)
             worst = max(worst, abs(got - alpha**2 * base) / max(abs(base), 1e-30))
         membership = ws.membership(d)
         for alpha in (0.5, 2.0):
@@ -291,7 +291,7 @@ def test_criterion_8_grid_convergence():
         traj = zero_traj(p, n)
         d = ramp_direction(traj.grid)
         triple = MultiplierTriple(np.asarray(lam), np.zeros((n + 1, 2)), np.zeros(n + 1))
-        q = SecondOrderWorkspace(p, traj).curvature(triple, d).q_value
+        q = CurvatureForm(SecondOrderWorkspace(p, traj), triple).q_value(d.x, d.u)
         curvature_errors.append(abs(q - exact))
     # state residual on the nonlinear registry problem with a smooth control
     p = builtin("damped_pendulum")

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import paretocert
-from paretocert import expr, trajectory
+from paretocert import expr, second_order, trajectory
 from paretocert import problem as problem_module
 from paretocert.certificate import recompute_overall_verdict
 from paretocert.cli import main
@@ -105,6 +105,23 @@ class TestCheckKkt:
         kkt = cert["fragments"]["kkt"]
         assert kkt["passed"] is False
         assert "h2" in kkt["note"]
+
+    def test_nonfinite_constraint_gradient_is_input_error(self, capsys, tmp_path):
+        # g = -1/u1 is finite at u1 = 1e-200, but g_u = 1/u1^2 overflows to inf
+        doc = {"n": 1, "l": 1, "m": 1, "L": ["x1^2 + u1^2"], "phi": ["u1"],
+               "g": "0 - 1 / u1", "x0": [0.0]}
+        problem = tmp_path / "gu_overflow.json"
+        problem.write_text(json.dumps(doc))
+        t = Grid(10).nodes
+        traj = tmp_path / "tiny_control.json"
+        traj.write_text(json.dumps({"grid_n": 10, "x": (1e-200 * t)[:, None].tolist(),
+                                    "u": np.full((11, 1), 1e-200).tolist()}))
+        code, out, err = run_cli(capsys, "check-kkt", str(problem), "--traj", str(traj),
+                                 "--lambda", "1")
+        assert code == 1
+        assert out == ""
+        assert err == ("error: non-finite constraint gradient values along trajectory"
+                       " at node 0\n")
 
     def test_certificate_records_no_seed(self, capsys):
         # check-kkt draws no random numbers
@@ -538,14 +555,15 @@ class TestThresholds:
 
 class TestConstructionContract:
     """Each request builds one field table and one backward map, and only the
-    maps its command uses; a problem file's expressions are parsed once, and
-    a findim request evaluates each quantity at zbar at most once."""
+    maps its command uses; check-socs builds one curvature form; a problem
+    file's expressions are parsed once, and a findim request evaluates each
+    quantity at zbar at most once."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         calls = {"build_fields": 0, "BackwardLinearMap": 0, "LinearStateMap": 0,
                  "apply_transpose": 0, "hessian_blocks": 0, "compile_rk4": 0, "parse": 0,
-                 "differentiate": 0, "solve": [], "zbar": []}
+                 "differentiate": 0, "CurvatureForm": 0, "solve": [], "zbar": []}
 
         def count(owner, name, key, record=None):
             original = getattr(owner, name)
@@ -576,6 +594,7 @@ class TestConstructionContract:
         count(trajectory.LinearStateMap, "apply_transpose", "apply_transpose")
         count(expr, "parse", "parse")
         count(expr, "differentiate", "differentiate")
+        count(second_order.CurvatureForm, "__init__", "CurvatureForm")
         count(KktWorkspace, "solve", "solve",
               record=lambda ws, lam, *a, **k: tuple(float(v) for v in lam))
         count(FinDimPoint, "_evaluate", "zbar", record=self.zbar_quantity)
@@ -613,7 +632,7 @@ class TestConstructionContract:
         "check-kkt": (["check-kkt", "{problem}", "--lambda", "0.5,0.5", "--grid", "100"],
                       dict(build_fields=1, BackwardLinearMap=1, LinearStateMap=0,
                            apply_transpose=0, hessian_blocks=0, compile_rk4=1,
-                           parse=PARSES)),
+                           parse=PARSES, CurvatureForm=0)),
         "check-socn-probes": (["check-socn", "{problem}", "--grid", "100", "--probes", "3"],
                               dict(build_fields=1, BackwardLinearMap=1, LinearStateMap=1,
                                    hessian_blocks=1, compile_rk4=1, parse=PARSES)),
@@ -625,10 +644,11 @@ class TestConstructionContract:
         "check-socs": (["check-socs", "{problem}", "--lambda", "0.5,0.5", "--gamma0", "1",
                         "--grid", "100", "--probes", "2", "--max-iters", "5"],
                        dict(build_fields=1, BackwardLinearMap=1, LinearStateMap=1,
-                            hessian_blocks=1, compile_rk4=1, parse=PARSES)),
+                            hessian_blocks=1, compile_rk4=1, parse=PARSES,
+                            CurvatureForm=1)),
         "findim": (["findim", "{findim}", "--zbar", "0,0", "--steps", "4"],
                    dict(build_fields=0, BackwardLinearMap=0, LinearStateMap=0,
-                        hessian_blocks=0, compile_rk4=0, parse=0)),
+                        hessian_blocks=0, compile_rk4=0, parse=0, CurvatureForm=0)),
         "integrate": (["integrate", "{problem}", "--grid", "20"],
                       dict(build_fields=0, BackwardLinearMap=0, LinearStateMap=0,
                            hessian_blocks=0, compile_rk4=1, parse=PARSES)),

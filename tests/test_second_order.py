@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from paretocert.certificate import decide_verdict
 from paretocert.kkt import MultiplierTriple
 from paretocert.problem import builtin, load_problem
 from paretocert.second_order import (
+    CurvatureForm,
     SecondOrderWorkspace,
     coercivity_check,
     random_critical_directions,
@@ -127,25 +129,25 @@ class TestIsCritical:
             ws.membership(ramp_direction(ws.traj.grid), variant="bogus")
 
 
+def q_of(ws, triple, d):
+    return CurvatureForm(ws, triple).q_value(d.x, d.u)
+
+
 class TestQuadraticForm:
     def test_indefinite_example_reference_value(self):
         p = builtin("example_6_2")
         ws = zero_ws(p, 1000)
         d = ramp_direction(ws.traj.grid)
         for lam in [(1.0, 0.0), (0.0, 1.0), tuple(UNIT), (0.5, 0.5)]:
-            triple = zero_triple(p, ws.traj.grid, lam)
-            report = ws.curvature(triple, d)
-            assert report.q_value == pytest.approx(-4.0 / 3.0 * sum(lam), abs=1e-5)
-            # with p = 0 and theta = 0 the form reduces to the pure cost term
-            assert report.dynamics_term == 0.0
-            assert report.constraint_term == 0.0
+            q = q_of(ws, zero_triple(p, ws.traj.grid, lam), d)
+            assert q == pytest.approx(-4.0 / 3.0 * sum(lam), abs=1e-5)
 
     def test_zero_direction(self):
         p = builtin("example_6_1")
         ws = zero_ws(p, 100)
         k = 101
         d = Direction(ws.traj.grid, np.zeros((k, 2)), np.zeros((k, 2)))
-        assert ws.curvature(zero_triple(p, ws.traj.grid, UNIT), d).q_value == 0.0
+        assert q_of(ws, zero_triple(p, ws.traj.grid, UNIT), d) == 0.0
 
     def test_quadratic_example_is_pure_cost_integral(self):
         p = builtin("example_6_1")
@@ -156,13 +158,13 @@ class TestQuadraticForm:
         ws = SecondOrderWorkspace(p, traj)
         x = ws.linmap.apply(u)
         d = Direction(traj.grid, x, u)
-        report = ws.curvature(zero_triple(p, traj.grid, (0.5, 0.5)), d)
+        q = q_of(ws, zero_triple(p, traj.grid, (0.5, 0.5)), d)
         # independent evaluation of the integrand
         expected = quadrature((x**2).sum(axis=1) + (u**2).sum(axis=1), traj.grid)
-        assert report.q_value == pytest.approx(expected, rel=1e-12)
-        assert report.q_value > 0
+        assert q == pytest.approx(expected, rel=1e-12)
+        assert q > 0
 
-    def test_decomposition_sums_to_q(self):
+    def test_q_value_matches_blockwise_contraction(self):
         p = builtin("damped_pendulum")
         grid = Grid(80)
         u_ref = 0.3 * np.sin(grid.nodes)[:, None]
@@ -173,24 +175,29 @@ class TestQuadraticForm:
                                   rng.standard_normal(81) ** 2)
         u = rng.standard_normal((81, 1))
         ws = SecondOrderWorkspace(p, traj)
-        r = ws.curvature(triple, Direction(grid, ws.linmap.apply(u), u))
-        assert r.q_value == pytest.approx(
-            r.cost_term + r.dynamics_term + r.constraint_term, abs=1e-12)
+        x = ws.linmap.apply(u)
+        # reference: contract each Hessian block with z, then weight the terms
+        h, z = ws.hessians, np.hstack([x, u])
+        cost = triple.lam @ np.einsum("ka,jkab,kb->jk", z, h.L, z)
+        dyn = np.einsum("ik,ki->k", np.einsum("ka,ikab,kb->ik", z, h.phi, z), triple.p)
+        con = triple.theta * np.einsum("ka,kab,kb->k", z, h.g, z)
+        expected = (cost + dyn + con) @ quad_weights(grid)
+        assert abs(expected) > 1e-3
+        assert CurvatureForm(ws, triple).q_value(x, u) == pytest.approx(expected, rel=1e-12)
 
     def test_homogeneity(self):
         p = builtin("example_6_2")
         traj = zero_traj(p, 120)
         rng = np.random.default_rng(6)
         ws = SecondOrderWorkspace(p, traj)
-        triple = zero_triple(p, traj.grid, UNIT)
+        form = CurvatureForm(ws, zero_triple(p, traj.grid, UNIT))
         for _ in range(10):
             u = rng.standard_normal((121, 2))
             x = ws.linmap.apply(u)
-            base = ws.curvature(triple, Direction(traj.grid, x, u))
+            base = form.q_value(x, u)
             for alpha in (-1.0, 0.5, 2.0):
-                scaled = Direction(traj.grid, alpha * x, alpha * u)
-                got = ws.curvature(triple, scaled)
-                assert got.q_value == pytest.approx(alpha**2 * base.q_value, rel=1e-10)
+                got = form.q_value(alpha * x, alpha * u)
+                assert got == pytest.approx(alpha**2 * base, rel=1e-10)
 
 
 class TestCoercivity:
@@ -280,8 +287,6 @@ class TestWorstDirection:
         assert result.q_value == pytest.approx(lam_min, abs=1e-6)
 
     def test_search_gradient_is_exact(self):
-        from paretocert.second_order import _CurvatureSearch
-
         p = builtin("damped_pendulum")
         grid = Grid(30)
         traj = integrate_state(p, 0.2 * np.sin(grid.nodes)[:, None], grid)
@@ -290,15 +295,15 @@ class TestWorstDirection:
         triple = MultiplierTriple(np.array([0.6, 0.8]),
                                   rng.standard_normal((31, 2)),
                                   rng.standard_normal(31) ** 2)
-        search = _CurvatureSearch(ws, triple)
+        form = CurvatureForm(ws, triple)
         u = rng.standard_normal((31, 1))
         x = ws.linmap.apply(u)
-        grad = search.gradient(x, u)
+        grad = form.gradient(x, u)
         du = rng.standard_normal((31, 1))
         eps = 1e-6
         xp = ws.linmap.apply(u + eps * du)
         xm = ws.linmap.apply(u - eps * du)
-        fd = (search.q_value(xp, u + eps * du) - search.q_value(xm, u - eps * du)) / (2 * eps)
+        fd = (form.q_value(xp, u + eps * du) - form.q_value(xm, u - eps * du)) / (2 * eps)
         assert float(np.sum(grad * du)) == pytest.approx(fd, rel=1e-7)
 
 
@@ -309,6 +314,20 @@ class TestRandomProbes:
         assert len(dirs) == 10
         for d in dirs:
             assert ws.membership(d, "sufficient").passed
+
+    def test_probes_have_unit_control_norm(self):
+        ws = zero_ws(builtin("example_6_2"), 60)
+        dirs = random_critical_directions(ws, 5, seed=1)
+        assert dirs
+        for d in dirs:
+            assert ws.control_dot(d.u, d.u) == pytest.approx(1.0, rel=1e-12)
+            # the trapezoid L2 norm of the control samples
+            norm_sq = quadrature((d.u**2).sum(axis=1), ws.traj.grid)
+            assert norm_sq == pytest.approx(1.0, rel=1e-12)
+
+    def test_project_unit_rejects_zero_control(self):
+        ws = zero_ws(builtin("example_6_1"), 20)
+        assert ws.project_unit(np.zeros((21, 2)), max_passes=3) is None
 
 
 class TestSimplexGrids:
@@ -358,7 +377,7 @@ class TestSocnVerdict:
     def test_empty_direction_list_is_vacuous(self):
         frag = socn_verdict(zero_ws(builtin("example_6_1"), 50), [])
         assert frag.verdict == "vacuous"
-        assert frag.passed
+        assert decide_verdict("check-socn", {"socn": frag.to_dict()}) == "socn-pass"
 
     def test_non_critical_directions_skipped(self):
         ws = zero_ws(builtin("example_6_1"), 50)
@@ -375,7 +394,8 @@ class TestSocsVerdict:
         ws = zero_ws(p, 200)
         triple = zero_triple(p, ws.traj.grid, (0.5, 0.5))
         frag = socs_verdict(ws, triple, gamma0=1.0, n_probes=8, seed=4)
-        assert frag.passed
+        assert frag.verdict == "pass-with-caveat"
+        assert decide_verdict("check-socs", {"socs": frag.to_dict()}) == "socs-pass"
         assert "probed directions" in frag.caveat
         assert min(frag.search["restart_values"]) > 0
 
@@ -384,7 +404,7 @@ class TestSocsVerdict:
         ws = zero_ws(p, 100)
         triple = zero_triple(p, ws.traj.grid, (0.5, 0.5))
         frag = socs_verdict(ws, triple, gamma0=0.1, n_probes=4)
-        assert not frag.passed
+        assert frag.verdict == "fail"
         assert frag.failed_stage == "coercivity"
 
     def test_threshold_above_spectrum_fails_coercivity_kkt_passes(self):

@@ -20,7 +20,6 @@ from paretocert.trajectory import (
     build_fields,
     hessian_blocks,
     integrate_state,
-    l2_norm,
     quadrature,
     state_residual,
 )
@@ -444,6 +443,21 @@ class TestFields:
         np.testing.assert_allclose(f.gu[2], [-1.0, -1.0])
         np.testing.assert_allclose(h.g, 0.0)
 
+    @pytest.mark.parametrize("L, label", [
+        (["x1^2 + u1^2", "0 - 1 / u1"], "L gradients"),  # L2_u overflows
+        (["x1^2 + u1^2", "x1^2"], "dynamics jacobian"),  # phi_u overflows
+    ])
+    def test_nonfinite_entry_names_its_node(self, L, label):
+        # u1 = 1e-200 at node 3 only; 1/u1^2 overflows to inf there
+        p = load_problem({"n": 1, "l": 1, "m": 2, "L": L, "phi": ["0 - 1 / u1"],
+                          "g": "u1 - 10", "x0": [0.0]})
+        grid = Grid(6)
+        u = np.ones((7, 1))
+        u[3] = 1e-200
+        with pytest.raises(IntegrationError, match=label) as err:
+            build_fields(p, Trajectory(grid, np.zeros((7, 1)), u))
+        assert err.value.node == 3
+
     def test_mirrored_hessian_entries_are_copied(self, monkeypatch):
         p = builtin("example_6_1")
         grid = Grid(12)
@@ -485,8 +499,3 @@ class TestFields:
         # phi = (x2, sin(x1) - x2 + u1) at x = (0.5, 0)
         np.testing.assert_allclose(A[0], [[0.0, 1.0], [np.cos(0.5), -1.0]])
         np.testing.assert_allclose(B[0], [[0.0], [1.0]])
-
-    def test_l2_norm_of_unit_control(self):
-        grid = Grid(10)
-        u = np.ones((11, 2))
-        assert l2_norm(u, grid) == pytest.approx(np.sqrt(2.0), rel=1e-12)
