@@ -612,7 +612,9 @@ def compile_ast(ast: ExprAst, variables: Sequence[str]) -> Callable:
     and numpy functions, so it broadcasts over arrays.  The compiled
     function skips the domain checks of :func:`evaluate`; numeric trouble
     surfaces as inf/nan, which integration and field evaluation guard with
-    explicit finiteness checks.
+    explicit finiteness checks.  The findim oracle instead runs it with
+    division by zero, invalid operations and overflow raised, and falls
+    back to :func:`evaluate` where they raise.
     """
     names = {name: f"v[{i}]" for i, name in enumerate(variables)}
     return eval(f"lambda v: {to_python(ast, names, '_np')}", {"_np": np})

@@ -23,9 +23,11 @@ multiplier sample, every direction and the oracle's reference values read
 the same numbers, and the first quantity that fails to evaluate names the
 expression at fault.  The point's tolerance bounds the multiplier residuals
 and the criticality and curvature signs; the activity threshold and the
-feasibility margins are module constants.  The oracle evaluates on an open
-grid, one coordinate axis per variable, and broadcasting spans the full
-grid.
+feasibility margins are module constants.  The oracle scans its grid in
+slabs of a bounded number of points, each an open grid (one coordinate
+axis per variable), and evaluates f and G there through compiled
+expressions, falling back to ``expr.evaluate`` on any slab where the
+compiled arithmetic raises.
 """
 
 from __future__ import annotations
@@ -321,13 +323,66 @@ def second_order_necessary_check(point: FinDimPoint, d, pairs: list[MultiplierPa
     return max_curvature, bool(max_curvature >= -tol)
 
 
+def _literals_finite(node: ex.ExprAst) -> bool:
+    """Whether every literal of a tree is finite; a decimal literal too long
+    for a double reads inf, which compiled code cannot spell."""
+    match node:
+        case ex.Const(value):
+            return bool(np.isfinite(value))
+        case ex.Neg(arg) | ex.Call(_, arg) | ex.Pow(arg, _):
+            return _literals_finite(arg)
+        case ex.Bin(_, left, right):
+            return _literals_finite(left) and _literals_finite(right)
+    return True
+
+
+def _slab_evaluator(tree: ex.ExprAst, variables: tuple[str, ...]):
+    """``values(slab)``: the tree on one oracle slab, with the values,
+    warnings and ``EvalDomainError`` of ``expr.evaluate``.
+
+    The compiled tree runs with division by zero, invalid operations and
+    overflow raised.  The slab's coordinates and the literals are finite, so
+    any slab on which ``evaluate`` would raise or return a non-finite value
+    raises an ``ArithmeticError`` there first (Python arithmetic on literals
+    raises its own), and is evaluated again by ``evaluate`` at the caller's
+    error state.
+    """
+    compiled = ex.compile_ast(tree, variables) if _literals_finite(tree) else None
+
+    def values(slab):
+        if compiled is not None:
+            try:
+                with np.errstate(divide="raise", invalid="raise", over="raise"):
+                    return compiled(slab)
+            except ArithmeticError:
+                pass
+        return ex.evaluate(tree, dict(zip(variables, slab)))
+
+    return values
+
+
+# Grid points per oracle slab.  A slab holds as many whole z1 rows as fit,
+# and at least one, so a float64 temporary over it takes about 1 MB unless
+# a single row is larger.
+ORACLE_SLAB_POINTS = 2**17
+
+
 def weak_pareto_oracle(point: FinDimPoint, radius: float, steps: int) -> bool:
     """Brute-force local weak-Pareto test by grid enumeration.
 
     Scans the uniform grid of (2*steps+1)^nz points in the inf-ball of the
     given radius; returns False iff some feasible grid point strictly
-    improves every objective by more than 1e-12.  A domain error at any grid
-    point raises ``expr.EvalDomainError``.
+    improves every objective by more than 1e-12.
+
+    The scan walks the grid in slabs of whole rows along z1, about
+    ``ORACLE_SLAB_POINTS`` points each.  On a slab it evaluates G, then f in
+    order, and leaves the slab as soon as no point of it is still feasible
+    and dominating; it stops at the first slab that holds a dominating
+    point.  A domain error raises ``expr.EvalDomainError`` only if this scan
+    order reaches the failing evaluation.  An error in a slab after the
+    first dominating one goes unseen, and so does an error in an expression
+    that a slab never evaluates because no point of it survived the
+    expressions before.
     """
     if not (np.isfinite(radius) and radius > 0):
         raise ValueError("radius must be a finite positive number")
@@ -337,16 +392,24 @@ def weak_pareto_oracle(point: FinDimPoint, radius: float, steps: int) -> bool:
     if problem.nz > 4:
         raise ValueError("oracle limited to nz <= 4 (grid blowup)")
     offsets = np.linspace(-radius, radius, 2 * steps + 1)
-    axes = np.ix_(*[zbar[i] + offsets for i in range(problem.nz)])
-    env = dict(zip(problem.variables, axes))
-    feasible = np.ones((len(offsets),) * problem.nz, dtype=bool)
-    for a in problem.G:
-        feasible &= np.asarray(ex.evaluate(a, env)) <= ORACLE_FEAS_TOL
-    if not np.any(feasible):
-        return True
-    dominates = feasible.copy()
-    for a, ref in zip(problem.f, point.f):
-        dominates &= np.asarray(ex.evaluate(a, env)) < ref - 1e-12
-        if not np.any(dominates):
-            return True
-    return not bool(np.any(dominates))
+    axes = [zbar[i] + offsets for i in range(problem.nz)]
+    rows = max(1, ORACLE_SLAB_POINTS // len(offsets) ** (problem.nz - 1))
+    g_values = [_slab_evaluator(a, problem.variables) for a in problem.G]
+    f_values = [_slab_evaluator(a, problem.variables) for a in problem.f]
+
+    def tests(slab):  # one mask per check, in scan order
+        for values in g_values:
+            yield np.asarray(values(slab)) <= ORACLE_FEAS_TOL
+        for values, ref in zip(f_values, point.f):
+            yield np.asarray(values(slab)) < ref - 1e-12
+
+    for start in range(0, len(offsets), rows):
+        slab = np.ix_(axes[0][start:start + rows], *axes[1:])
+        alive = np.ones(np.broadcast_shapes(*(a.shape for a in slab)), dtype=bool)
+        for mask in tests(slab):
+            alive &= mask
+            if not alive.any():
+                break
+        else:
+            return False
+    return True

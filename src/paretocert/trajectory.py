@@ -436,6 +436,16 @@ class TrajectoryFields:
     state_residual: float  # state_residual(problem, traj), from phi above
 
 
+def _require_finite(arrays) -> None:
+    """Raise IntegrationError at the first node where an array holds a
+    non-finite entry; ``arrays`` yields (label, array, node axis)."""
+    for label, arr, axis in arrays:
+        bad = ~np.isfinite(arr)
+        if np.any(bad):
+            raise IntegrationError(f"non-finite {label} values along trajectory",
+                                   int(np.nonzero(bad)[axis].min()))
+
+
 def build_fields(problem: Problem, traj: Trajectory) -> TrajectoryFields:
     n = problem.n
 
@@ -458,14 +468,10 @@ def build_fields(problem: Problem, traj: Trajectory) -> TrajectoryFields:
     gu = grads(problem.g_derivs, np.s_[n:])
 
     # every array of the table, with the axis that indexes its nodes
-    for label, arr, axis in (("L", L, 1), ("L gradients", Lx, 1), ("L gradients", Lu, 1),
-                             ("dynamics", phi, 0), ("dynamics jacobian", phix, 0),
-                             ("dynamics jacobian", phiu, 0), ("constraint", g, 0),
-                             ("constraint gradient", gx, 0), ("constraint gradient", gu, 0)):
-        bad = ~np.isfinite(arr)
-        if np.any(bad):
-            raise IntegrationError(f"non-finite {label} values along trajectory",
-                                   int(np.nonzero(bad)[axis].min()))
+    _require_finite((("L", L, 1), ("L gradients", Lx, 1), ("L gradients", Lu, 1),
+                     ("dynamics", phi, 0), ("dynamics jacobian", phix, 0),
+                     ("dynamics jacobian", phiu, 0), ("constraint", g, 0),
+                     ("constraint gradient", gx, 0), ("constraint gradient", gu, 0)))
 
     return TrajectoryFields(
         grid=traj.grid,
@@ -495,6 +501,8 @@ class HessianBlocks:
 
 def hessian_blocks(problem: Problem, traj: Trajectory) -> HessianBlocks:
     """Hessian blocks at every node; only the second-order checks read them.
+    Raises IntegrationError, naming the first node, when any entry is not
+    finite.
 
     An entry whose tree equals its mirror's is copied from the mirror: equal
     trees share one compiled evaluator, so the copy is the same bits.
@@ -512,8 +520,11 @@ def hessian_blocks(problem: Problem, traj: Trajectory) -> HessianBlocks:
                     out[:, a, b] = node_values(problem, table.hess[a][b], traj)
         return out
 
-    return HessianBlocks(
+    blocks = HessianBlocks(
         L=np.stack([block(t) for t in problem.L_derivs]),
         phi=np.stack([block(t) for t in problem.phi_derivs]),
         g=block(problem.g_derivs),
     )
+    _require_finite((("L Hessian", blocks.L, 1), ("dynamics Hessian", blocks.phi, 1),
+                     ("constraint Hessian", blocks.g, 0)))
+    return blocks

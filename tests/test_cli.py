@@ -241,6 +241,27 @@ class TestCheckSocn:
         assert frag["verdict"] == "vacuous"
         assert frag["skipped"][0]["reason"] == "not critical"
 
+    def test_nonfinite_constraint_hessian_is_input_error(self, capsys, tmp_path):
+        # g = -1/u1 and g_u = 1/u1^2 are finite at u1 = 1e-120, but
+        # g_uu = -2/u1^3 is not
+        doc = {"n": 1, "l": 1, "m": 1, "L": ["x1^2 + u1^2"], "phi": ["u1"],
+               "g": "0 - 1 / u1", "x0": [0.0]}
+        problem = tmp_path / "guu_overflow.json"
+        problem.write_text(json.dumps(doc))
+        t = Grid(10).nodes
+        traj = tmp_path / "tiny_control.json"
+        traj.write_text(json.dumps({"grid_n": 10, "x": (1e-120 * t)[:, None].tolist(),
+                                    "u": np.full((11, 1), 1e-120).tolist()}))
+        ramp = tmp_path / "ramp.json"
+        ramp.write_text(json.dumps({"grid_n": 10, "x": t[:, None].tolist(),
+                                    "u": np.ones((11, 1)).tolist()}))
+        code, out, err = run_cli(capsys, "check-socn", str(problem), "--traj", str(traj),
+                                 "--directions", str(ramp))
+        assert code == 1
+        assert out == ""
+        assert err == ("error: non-finite constraint Hessian values along trajectory"
+                       " at node 0\n")
+
 
 class TestCheckSocs:
     def test_quadratic_example_passes(self, capsys):

@@ -1,6 +1,7 @@
 """Finite-dimensional analyzer: regularity, multipliers, curvature, oracle."""
 
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from paretocert.findim import (
     InfeasiblePointError,
     MultiplierPair,
     NotCriticalError,
+    ORACLE_SLAB_POINTS,
     load_findim_problem,
     multiplier_set_sample,
     robinson_check,
@@ -330,19 +332,66 @@ class TestWeakParetoOracle:
         with pytest.raises(ex.EvalDomainError, match="log of non-positive value"):
             weak_pareto_oracle(FinDimPoint(p, (0.0, 0.2)), radius=0.25, steps=4)
 
+    def test_domain_error_after_first_dominating_slab_is_unseen(self):
+        # G divides by zero only on the last z1 row (z1 = 0.25), which lies in
+        # a later slab than the dominating points z1 < 0
+        p = load_findim_problem({"nz": 3, "m": 1, "f": ["z1 + z2^2 + z3^2"],
+                                 "G": ["1 / (z1 - 0.25)"]})
+        steps = 25
+        assert (2 * steps + 1) ** p.nz > ORACLE_SLAB_POINTS
+        point = FinDimPoint(p, np.zeros(3))
+        assert weak_pareto_oracle(point, radius=0.25, steps=steps) is False
+
+    @pytest.mark.parametrize("doc", [
+        {"nz": 2, "m": 2, "f": ["z1 + z2", "exp(1000 * z2)"], "G": ["z1 - 1"]},
+        {"nz": 2, "m": 2, "f": ["exp(1000 * z1)", "0 - z1 + z2^2"], "G": ["z2 - 1"]},
+        {"nz": 2, "m": 2, "f": ["z1 + z2", "z2 - z1"], "G": ["exp(1000 * z1) - 2"]},
+    ], ids=["f-dominated", "f-pareto", "g-overflow"])
+    def test_overflowing_grid_matches_reference(self, doc):
+        # the compiled slab overflows, so the slab is evaluated again at the
+        # caller's error state, where inf is a value
+        p = load_findim_problem(doc)
+        point = FinDimPoint(p, np.zeros(2))
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            weak_pareto_oracle(point, radius=1.0, steps=4)
+        with np.errstate(over="ignore"):
+            for radius, steps in ((0.5, 4), (1.0, 5)):
+                got = weak_pareto_oracle(point, radius=radius, steps=steps)
+                assert got is self.reference(p, point.z, radius, steps), (radius, steps)
+
+    def test_literal_beyond_double_range_matches_reference(self):
+        # a 401-digit literal reads inf, which compiled code cannot spell
+        big = "1" + "0" * 400
+        p = load_findim_problem({"nz": 2, "m": 2, "f": ["z1 + z2", "z2 - z1"],
+                                 "G": [f"{big} * (z1 - 2)"]})
+        point = FinDimPoint(p, np.zeros(2))
+        got = weak_pareto_oracle(point, radius=0.5, steps=4)
+        assert got is self.reference(p, point.z, 0.5, 4) is False
+
+    @pytest.mark.parametrize("f, g, divisor", [
+        ("z1 + 1 / (z2 + 0.25)", "z1 - 1", "z2 + 0.25"),  # z2 = -0.25 starts every row
+        ("z1", "z1 - 1 / (2 - 2)", "2 - 2"),  # compiled: ZeroDivisionError on floats
+    ], ids=["on-grid", "constant"])
+    def test_division_by_zero_raises_like_reference(self, f, g, divisor):
+        p = load_findim_problem({"nz": 2, "m": 1, "f": [f], "G": [g]})
+        message = re.escape(f"division by zero in '1 / ({divisor})'")
+        with pytest.raises(ex.EvalDomainError, match=message):
+            weak_pareto_oracle(FinDimPoint(p, np.zeros(2)), radius=0.25, steps=4)
+        with pytest.raises(ex.EvalDomainError, match=message):
+            self.reference(p, np.zeros(2), 0.25, 4)
+
     def test_peak_memory_below_coordinate_grid(self):
-        # the open grid never holds nz full coordinate arrays at once
+        # a few slabs: a float64 temporary takes 1 MB on one slab and 54 MB
+        # on the full 51^4 grid
         p = load_findim_problem(QUAD4)
-        steps = 12
-        bound = p.nz * (2 * steps + 1) ** p.nz * 8
         tracemalloc.start()
         try:
             point = FinDimPoint(p, np.zeros(4))
-            assert weak_pareto_oracle(point, radius=0.4, steps=steps) is True
+            assert weak_pareto_oracle(point, radius=0.4, steps=25) is True
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < bound, (peak, bound)
+        assert peak < 16 * 2**20, peak
 
 
 class TestSoundnessLink:
