@@ -4,10 +4,16 @@ A certificate records every residual, tolerance, and fragment needed to
 re-audit a check without re-running it; the overall verdict is a pure
 function of (command, fragments), factored into ``decide_verdict`` so the
 emitted verdict and any later recomputation cannot drift apart.
+
+``jsonable`` is the one conversion of program values to JSON values:
+fragments and parameters hold result objects, arrays and numpy scalars as
+the library returns them.  A result's JSON is its dataclass fields, by name,
+unless the class defines ``to_dict`` for keys that differ from its fields.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 
@@ -34,18 +40,25 @@ TOOL_VERSION = "0.1.0"
 
 
 def jsonable(obj):
-    """Recursively convert numpy scalars/arrays to strict JSON values.
+    """Convert program values to strict JSON values, recursively.
 
-    Non-finite floats become the strings "inf"/"-inf"/"nan" so the output
-    stays valid JSON for every consumer, not just Python's parser.
+    Dicts (keys as ``str``), lists and tuples are converted entry by entry.
+    Arrays become nested lists in one ``tolist()``; only a float array that
+    holds a non-finite entry is walked element by element.  Numpy scalars
+    become Python scalars, and non-finite floats become the strings
+    "nan"/"inf"/"-inf", so the output stays valid JSON for every consumer,
+    not just Python's parser.  An object with ``to_dict`` is that method's
+    output, converted; any other dataclass is its fields, by name.
     """
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
+        if obj.dtype.kind == "f" and not np.isfinite(obj).all():
+            return jsonable(obj.tolist())
+        return obj.tolist()
+    if isinstance(obj, np.generic):
         obj = obj.item()
     if isinstance(obj, float):
         if obj != obj:
@@ -54,6 +67,13 @@ def jsonable(obj):
             return "inf"
         if obj == -np.inf:
             return "-inf"
+        return obj
+    if obj is None or isinstance(obj, (str, int)):
+        return obj
+    if hasattr(obj, "to_dict"):
+        return jsonable(obj.to_dict())
+    if dataclasses.is_dataclass(obj):
+        return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     return obj
 
 

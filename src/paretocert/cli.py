@@ -45,6 +45,8 @@ from .problem import (
 )
 from .second_order import (
     SecondOrderWorkspace,
+    SocnFragment,
+    SocsFragment,
     random_critical_directions,
     socn_verdict,
     socs_verdict,
@@ -72,13 +74,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_floats(text: str, label: str) -> np.ndarray:
+    message = f"{label} must be a comma-separated list of finite numbers"
     try:
         values = np.array([float(v) for v in text.split(",")], dtype=float)
     except ValueError:
-        raise _UsageError(f"{label} must be a comma-separated list of numbers")
-    if values.size == 0:
-        raise _UsageError(f"{label} must not be empty")
+        raise _UsageError(message)
+    if not np.isfinite(values).all():
+        raise _UsageError(message)
     return values
+
+
+def _at_least(flag: str, value: int, low: int) -> None:
+    if value < low:
+        raise _UsageError(f"{flag} must be at least {low}")
 
 
 def _load_problem_arg(spec: str):
@@ -173,13 +181,13 @@ def _emit(args, payload: str) -> None:
 
 def _gate_fragments(ws: KktWorkspace) -> dict:
     res = ws.fields.state_residual
-    g_max = float(np.max(ws.fields.g))
+    g_max = ws.fields.g.max()
     feasibility = {
         "state_residual": res,
         "constraint_residual": max(0.0, g_max),
-        "passed": bool(res <= ws.tol and g_max <= ws.tol),
+        "passed": res <= ws.tol and g_max <= ws.tol,
     }
-    return {"feasibility": feasibility, "h2": ws.h2.to_dict()}
+    return {"feasibility": feasibility, "h2": ws.h2}
 
 
 def _finish(args, command, fragments, tolerances, parameters, started, *,
@@ -211,13 +219,12 @@ def _cmd_check_kkt(args) -> int:
     traj = _load_trajectory(args, problem)
     ws = KktWorkspace(problem, traj, args.tol)
     fragments = _gate_fragments(ws)
-    if fragments["h2"]["passed"]:
-        _, _, report = ws.solve(lam)
-        fragments["kkt"] = report.to_dict()
+    if ws.h2.passed:
+        fragments["kkt"] = ws.solve(lam)[2]
     else:
         fragments["kkt"] = {"passed": False, "tol": ws.tol,
                             "note": "h2 gate failed; multipliers not recovered"}
-    params = {"lambda": [float(v) for v in lam]}
+    params = {"lambda": lam}
     return _finish(args, "check-kkt", fragments, tolerance_record(ws.tol), params, started,
                    name=problem.name, digest=cert.problem_hash(problem),
                    grid_n=traj.grid.n_intervals, seed=None)
@@ -226,10 +233,9 @@ def _cmd_check_kkt(args) -> int:
 def _cmd_check_socn(args) -> int:
     started = time.perf_counter()
     problem = _load_problem_arg(args.problem)
-    if args.probes < 1:
-        raise _UsageError("--probes must be at least 1")
-    if args.lambda_grid < 1:
-        raise _UsageError("--lambda-grid must be at least 1")
+    _at_least("--probes", args.probes, 1)
+    _at_least("--lambda-grid", args.lambda_grid, 1)
+    _at_least("--seed", args.seed, 0)
     params = {"lambda_grid": args.lambda_grid}
     directions = None
     if args.directions is not None:
@@ -240,17 +246,15 @@ def _cmd_check_socn(args) -> int:
     traj = _load_trajectory(args, problem)
     ws = SecondOrderWorkspace(problem, traj, args.tol, args.eps_act)
     fragments = _gate_fragments(ws)
-    if fragments["feasibility"]["passed"] and fragments["h2"]["passed"]:
+    if fragments["feasibility"]["passed"] and ws.h2.passed:
         if directions is None:
             directions = random_critical_directions(ws, count=args.probes,
                                                     seed=args.seed)
             params["probes"] = args.probes
-        frag = socn_verdict(ws, directions, lambda_points=args.lambda_grid)
-        fragments["socn"] = frag.to_dict()
+        fragments["socn"] = socn_verdict(ws, directions, lambda_points=args.lambda_grid)
     else:
-        fragments["socn"] = {"verdict": "gated", "tested": 0, "skipped": [],
-                             "results": [], "weight_grid": [], "tol": ws.tol,
-                             "note": "gates failed; sweep not run"}
+        fragments["socn"] = SocnFragment("gated", 0, [], [], [], ws.tol,
+                                         note="gates failed; sweep not run")
     return _finish(args, "check-socn", fragments, tolerance_record(ws.tol), params, started,
                    name=problem.name, digest=cert.problem_hash(problem),
                    grid_n=traj.grid.n_intervals, seed=args.seed)
@@ -262,23 +266,20 @@ def _cmd_check_socs(args) -> int:
     lam = _lambda_arg(args, problem.m)
     if args.gamma0 is None:
         raise _UsageError("--gamma0 is required")
-    if args.probes < 1:
-        raise _UsageError("--probes must be at least 1")
+    _at_least("--probes", args.probes, 1)
+    _at_least("--max-iters", args.max_iters, 1)
+    _at_least("--seed", args.seed, 0)
     traj = _load_trajectory(args, problem)
     ws = SecondOrderWorkspace(problem, traj, args.tol, args.eps_act)
     fragments = _gate_fragments(ws)
-    params = {"lambda": [float(v) for v in lam], "gamma0": args.gamma0,
-              "probes": args.probes}
-    if fragments["feasibility"]["passed"] and fragments["h2"]["passed"]:
+    params = {"lambda": lam, "gamma0": args.gamma0, "probes": args.probes}
+    if fragments["feasibility"]["passed"] and ws.h2.passed:
         p, theta, _ = ws.solve(lam)
-        triple = MultiplierTriple(lam, p, theta)
-        frag = socs_verdict(ws, triple, gamma0=args.gamma0, n_probes=args.probes,
-                            max_iters=args.max_iters, seed=args.seed)
-        fragments["socs"] = frag.to_dict()
+        fragments["socs"] = socs_verdict(ws, MultiplierTriple(lam, p, theta),
+                                         gamma0=args.gamma0, n_probes=args.probes,
+                                         max_iters=args.max_iters, seed=args.seed)
     else:
-        fragments["socs"] = {"verdict": "gated", "failed_stage": "gates",
-                             "kkt": None, "coercivity": None, "search": None,
-                             "caveat": "", "tol": ws.tol}
+        fragments["socs"] = SocsFragment("gated", "gates", None, None, None, "", ws.tol)
     return _finish(args, "check-socs", fragments, tolerance_record(ws.tol), params, started,
                    name=problem.name, digest=cert.problem_hash(problem),
                    grid_n=traj.grid.n_intervals, seed=args.seed)
@@ -286,10 +287,8 @@ def _cmd_check_socs(args) -> int:
 
 def _cmd_findim(args) -> int:
     started = time.perf_counter()
-    if args.steps < 3:
-        raise _UsageError("--steps must be at least 3")
-    if args.lambda_grid < 1:
-        raise _UsageError("--lambda-grid must be at least 1")
+    _at_least("--steps", args.steps, 3)
+    _at_least("--lambda-grid", args.lambda_grid, 1)
     try:
         with open(args.problem, "r", encoding="utf-8") as fh:
             problem = load_findim_problem(fh.read())
@@ -313,15 +312,14 @@ def _cmd_findim(args) -> int:
         robinson = robinson_check(point)
     except InfeasiblePointError as err:
         raise _InputError(str(err))
-    fragments["robinson"] = robinson.to_dict()
+    fragments["robinson"] = robinson
     pairs = []
     dir_entries = []
-    oracle_value = None
     if robinson.passed:
         pairs = multiplier_set_sample(point, n_lambda=args.lambda_grid)
         any_failure = False
         for i, d in enumerate(directions):
-            entry = {"index": i, "direction": [float(v) for v in d]}
+            entry = {"index": i, "direction": d}
             try:
                 curvature, verdict = second_order_necessary_check(point, d, pairs)
             except NotCriticalError as err:
@@ -330,28 +328,27 @@ def _cmd_findim(args) -> int:
             else:
                 entry["critical"] = True
                 entry["max_curvature"] = curvature
-                entry["verdict"] = bool(verdict)
+                entry["verdict"] = verdict
                 any_failure = any_failure or not verdict
             dir_entries.append(entry)
         oracle_value = weak_pareto_oracle(point, radius=args.radius,
                                           steps=args.steps)
-        fragments["oracle"] = {"weak_pareto": bool(oracle_value),
+        fragments["oracle"] = {"weak_pareto": oracle_value,
                                "radius": args.radius, "steps": args.steps}
         # contrapositive audit: an exhaustive-sample necessary failure at a
         # regular point must coincide with a negative oracle
         fragments["consistency"] = {
             "necessary_failed": any_failure,
-            "agrees_with_oracle": bool((not any_failure) or (not oracle_value)),
+            "agrees_with_oracle": not any_failure or not oracle_value,
         }
     else:
         fragments["oracle"] = {"weak_pareto": False, "radius": args.radius,
                                "steps": args.steps, "note": "skipped: gates failed"}
         fragments["consistency"] = {"necessary_failed": None,
                                     "agrees_with_oracle": None}
-    fragments["multipliers"] = {"count": len(pairs),
-                                "pairs": [p.to_dict() for p in pairs]}
+    fragments["multipliers"] = {"count": len(pairs), "pairs": pairs}
     fragments["directions"] = dir_entries
-    params = {"zbar": [float(v) for v in zbar], "radius": args.radius,
+    params = {"zbar": zbar, "radius": args.radius,
               "steps": args.steps, "lambda_grid": args.lambda_grid}
     return _finish(args, "findim", fragments, {"tol": point.tol}, params, started,
                    name=None, digest=cert.findim_hash(problem), grid_n=None, seed=None)
@@ -378,7 +375,7 @@ def _cmd_integrate(args) -> int:
         **traj.to_dict(),
         "state_residual": state_residual(problem, traj),
     }
-    _emit(args, json.dumps(cert.jsonable(payload), sort_keys=True, indent=2) + "\n")
+    _emit(args, cert.dumps(cert.jsonable(payload)))
     return 0
 
 
@@ -387,7 +384,7 @@ def _cmd_show_builtin(args) -> int:
         problem = builtin(args.name)
     except UnknownBuiltinError as err:
         raise _InputError(str(err))
-    _emit(args, json.dumps(serialize(problem), sort_keys=True, indent=2) + "\n")
+    _emit(args, cert.dumps(serialize(problem)))
     return 0
 
 

@@ -10,9 +10,10 @@ Grammar (whitespace-insensitive, case-sensitive):
     atom   := NUMBER | IDENT | IDENT '(' expr ')' | '(' expr ')'
 
 IDENT is either a declared variable or one of the functions sin, cos, exp,
-log.  NUMBER is an unsigned decimal literal (no exponent suffix).  Pow
-exponents are nonnegative integer literals, checked at parse time, which
-keeps every derivative closed-form under the same grammar.
+log.  NUMBER is an unsigned decimal literal (no exponent suffix) that reads
+as a finite double; a longer one is a syntax error.  Pow exponents are
+nonnegative integer literals, checked at parse time, which keeps every
+derivative closed-form under the same grammar.
 
 ASTs are immutable (frozen dataclasses); they can be shared and evaluated
 concurrently without locking.
@@ -182,6 +183,9 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
             text = source[i:j]
             if text == ".":
                 raise ExprSyntaxError("malformed number", _byte_offset(source, i))
+            if math.isinf(float(text)):
+                raise ExprSyntaxError("number too large for a double",
+                                      _byte_offset(source, i))
             tokens.append((_TOK_NUM, text, i))
             i = j
         elif ch.isalpha():

@@ -202,14 +202,6 @@ class RobinsonReport:
     witness: np.ndarray | None
     active: np.ndarray
 
-    def to_dict(self) -> dict:
-        return {
-            "passed": bool(self.passed),
-            "s_opt": float(self.s_opt),
-            "witness": None if self.witness is None else [float(v) for v in self.witness],
-            "active": [int(i) for i in self.active],
-        }
-
 
 def robinson_check(point: FinDimPoint) -> RobinsonReport:
     """Regularity at zbar for the orthant cone.
@@ -260,11 +252,8 @@ class MultiplierPair:
     stationarity_residual: float
 
     def to_dict(self) -> dict:
-        return {
-            "lambda": [float(v) for v in self.lam],
-            "e": [float(v) for v in self.e],
-            "stationarity_residual": float(self.stationarity_residual),
-        }
+        return {"lambda": self.lam, "e": self.e,
+                "stationarity_residual": self.stationarity_residual}
 
 
 def multiplier_set_sample(point: FinDimPoint, n_lambda: int = 21) -> list[MultiplierPair]:
@@ -323,40 +312,25 @@ def second_order_necessary_check(point: FinDimPoint, d, pairs: list[MultiplierPa
     return max_curvature, bool(max_curvature >= -tol)
 
 
-def _literals_finite(node: ex.ExprAst) -> bool:
-    """Whether every literal of a tree is finite; a decimal literal too long
-    for a double reads inf, which compiled code cannot spell."""
-    match node:
-        case ex.Const(value):
-            return bool(np.isfinite(value))
-        case ex.Neg(arg) | ex.Call(_, arg) | ex.Pow(arg, _):
-            return _literals_finite(arg)
-        case ex.Bin(_, left, right):
-            return _literals_finite(left) and _literals_finite(right)
-    return True
-
-
 def _slab_evaluator(tree: ex.ExprAst, variables: tuple[str, ...]):
     """``values(slab)``: the tree on one oracle slab, with the values,
     warnings and ``EvalDomainError`` of ``expr.evaluate``.
 
     The compiled tree runs with division by zero, invalid operations and
-    overflow raised.  The slab's coordinates and the literals are finite, so
-    any slab on which ``evaluate`` would raise or return a non-finite value
-    raises an ``ArithmeticError`` there first (Python arithmetic on literals
-    raises its own), and is evaluated again by ``evaluate`` at the caller's
-    error state.
+    overflow raised.  The slab's coordinates and the literals are finite (the
+    parser admits no other literal), so any slab on which ``evaluate`` would
+    raise or return a non-finite value raises an ``ArithmeticError`` there
+    first (Python arithmetic on literals raises its own), and is evaluated
+    again by ``evaluate`` at the caller's error state.
     """
-    compiled = ex.compile_ast(tree, variables) if _literals_finite(tree) else None
+    compiled = ex.compile_ast(tree, variables)
 
     def values(slab):
-        if compiled is not None:
-            try:
-                with np.errstate(divide="raise", invalid="raise", over="raise"):
-                    return compiled(slab)
-            except ArithmeticError:
-                pass
-        return ex.evaluate(tree, dict(zip(variables, slab)))
+        try:
+            with np.errstate(divide="raise", invalid="raise", over="raise"):
+                return compiled(slab)
+        except ArithmeticError:
+            return ex.evaluate(tree, dict(zip(variables, slab)))
 
     return values
 

@@ -97,7 +97,7 @@ class KktReport:
     state_residual: float
     passed: bool
     tol: float
-    lam: tuple[float, ...]
+    lam: np.ndarray
     grid_n: int
     converged: bool | None = None
     iterations: int | None = None
@@ -114,14 +114,11 @@ class KktReport:
         }
 
     def to_dict(self) -> dict:
-        out = {k: float(v) for k, v in self.residuals().items()}
-        out["passed"] = bool(self.passed)
-        out["tolerances"] = tolerance_record(self.tol)
-        out["lambda"] = [float(v) for v in self.lam]
-        out["grid_n"] = self.grid_n
+        out = {**self.residuals(), "passed": self.passed,
+               "tolerances": tolerance_record(self.tol), "lambda": self.lam,
+               "grid_n": self.grid_n}
         if self.converged is not None:
-            out["converged"] = bool(self.converged)
-            out["iterations"] = self.iterations
+            out.update(converged=self.converged, iterations=self.iterations)
         return out
 
 
@@ -205,7 +202,7 @@ class KktWorkspace:
             state_residual=f.state_residual,
             passed=passed,
             tol=self.tol,
-            lam=tuple(float(v) for v in lam),
+            lam=lam,
             grid_n=f.grid.n_intervals,
         )
 

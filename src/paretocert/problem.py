@@ -286,16 +286,6 @@ class H2Report:
     per_node: np.ndarray
     per_control_min: np.ndarray
 
-    def to_dict(self) -> dict:
-        return {
-            "i0": self.i0,
-            "alpha_hat": float(self.alpha_hat),
-            "alpha": float(self.alpha),
-            "passed": bool(self.passed),
-            "per_node": [float(v) for v in self.per_node],
-            "per_control_min": [float(v) for v in self.per_control_min],
-        }
-
     @classmethod
     def from_gradient(cls, gu_nodes: np.ndarray, alpha: float) -> "H2Report":
         """The check on g_u already sampled at the nodes, shape (N+1, l)."""

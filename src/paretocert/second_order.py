@@ -40,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .kkt import KktWorkspace, MultiplierTriple
+from .kkt import KktReport, KktWorkspace, MultiplierTriple
 from .problem import Problem
 from .simplex import unit_weight_grid
 from .trajectory import (
@@ -81,18 +81,10 @@ class ConeMembership:
     c1_values: np.ndarray
 
     def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "c1_residual": float(self.c1_residual),
-            "c2_residual": float(self.c2_residual),
-            "c3_residual": float(self.c3_residual),
-            "active_node_count": int(len(self.active_nodes)),
-            "passed": bool(self.passed),
-            "eps_act": float(self.eps_act),
-            "tol": float(self.tol),
-            "c1_values": [float(v) for v in self.c1_values],
-            "note": "node-wise discrete surrogate of the cone conditions",
-        }
+        out = dict(vars(self), active_node_count=len(self.active_nodes),
+                   note="node-wise discrete surrogate of the cone conditions")
+        del out["active_nodes"]
+        return out
 
 
 @dataclass
@@ -103,15 +95,6 @@ class CoercivityReport:
     gamma0: float
     argmin_node: int
 
-    def to_dict(self) -> dict:
-        return {
-            "passed": bool(self.passed),
-            "margin": float(self.margin),
-            "min_eigenvalue": float(self.min_eigenvalue),
-            "gamma0": float(self.gamma0),
-            "argmin_node": int(self.argmin_node),
-        }
-
 
 @dataclass
 class WorstDirectionResult:
@@ -119,14 +102,6 @@ class WorstDirectionResult:
     q_value: float
     restart_values: list
     converged: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "q_value": float(self.q_value),
-            "restart_values": [float(v) for v in self.restart_values],
-            "converged": bool(self.converged),
-            "direction": self.direction.to_dict(),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -499,19 +474,9 @@ class SocnFragment:
     tested: int
     skipped: list
     results: list
-    weight_grid: list
+    weight_grid: np.ndarray | list
     tol: float
-
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "tested": self.tested,
-            "skipped": self.skipped,
-            "results": self.results,
-            "weight_grid": self.weight_grid,
-            "tol": float(self.tol),
-            "note": "existence is checked against the sampled weight grid only",
-        }
+    note: str = "existence is checked against the sampled weight grid only"
 
 
 def socn_verdict(
@@ -534,7 +499,7 @@ def socn_verdict(
             skipped.append({
                 "index": idx,
                 "reason": "not critical",
-                "membership": membership.to_dict(),
+                "membership": membership,
             })
             continue
         tested += 1
@@ -546,20 +511,18 @@ def socn_verdict(
                 solved[i] = ws.solve(lam)
             p, theta, report = solved[i]
             if not report.passed:
-                q_by_weight.append({"lambda": [float(v) for v in lam],
-                                    "kkt_passed": False})
+                q_by_weight.append({"lambda": lam, "kkt_passed": False})
                 continue
             kkt_valid += 1
             form = CurvatureForm(ws, MultiplierTriple(lam, p, theta))
             q = form.q_value(direction.x, direction.u)
-            q_by_weight.append({"lambda": [float(v) for v in lam],
-                                "kkt_passed": True, "q_value": float(q)})
+            q_by_weight.append({"lambda": lam, "kkt_passed": True, "q_value": q})
             if q >= -ws.tol:
-                found = {"lambda": [float(v) for v in lam], "q_value": float(q)}
+                found = {"lambda": lam, "q_value": q}
                 break
         entry = {
             "index": idx,
-            "membership": membership.to_dict(),
+            "membership": membership,
             "q_by_weight": q_by_weight,
         }
         if found is not None:
@@ -568,11 +531,11 @@ def socn_verdict(
         elif kkt_valid == 0:
             entry["holds"] = False
             entry["reason"] = "no weight produced a valid multiplier triple"
-            entry["direction"] = direction.to_dict()
+            entry["direction"] = direction
             verdict = "kkt-degenerate"
         else:
             entry["holds"] = False
-            entry["direction"] = direction.to_dict()
+            entry["direction"] = direction
             verdict = "violated"
         results.append(entry)
         if verdict != "holds":
@@ -584,7 +547,7 @@ def socn_verdict(
         tested=tested,
         skipped=skipped,
         results=results,
-        weight_grid=[[float(v) for v in lam] for lam in weights],
+        weight_grid=weights,
         tol=ws.tol,
     )
 
@@ -595,22 +558,11 @@ class SocsFragment:
 
     verdict: str  # "pass-with-caveat", "fail"
     failed_stage: str | None
-    kkt: dict
-    coercivity: dict | None
-    search: dict | None
+    kkt: KktReport | None
+    coercivity: CoercivityReport | None
+    search: WorstDirectionResult | None
     caveat: str
     tol: float
-
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "failed_stage": self.failed_stage,
-            "kkt": self.kkt,
-            "coercivity": self.coercivity,
-            "search": self.search,
-            "caveat": self.caveat,
-            "tol": float(self.tol),
-        }
 
 
 _SOCS_CAVEAT = (
@@ -631,18 +583,17 @@ def socs_verdict(
     tol = ws.tol
     kkt_report = ws.residuals(triple.lam, triple.p, triple.theta)
     if not kkt_report.passed:
-        return SocsFragment("fail", "kkt", kkt_report.to_dict(), None, None,
-                            _SOCS_CAVEAT, tol)
+        return SocsFragment("fail", "kkt", kkt_report, None, None, _SOCS_CAVEAT, tol)
     coercivity = coercivity_check(ws, triple.lam, gamma0)
     if not coercivity.passed:
-        return SocsFragment("fail", "coercivity", kkt_report.to_dict(),
-                            coercivity.to_dict(), None, _SOCS_CAVEAT, tol)
+        return SocsFragment("fail", "coercivity", kkt_report, coercivity, None,
+                            _SOCS_CAVEAT, tol)
     search = worst_critical_direction(ws, triple, n_restarts=n_probes,
                                       max_iters=max_iters, seed=seed)
     min_q = min(search.restart_values) if search.restart_values else search.q_value
     # probes are normalized to unit control norm, so the threshold is plain tol
     if min_q <= tol:
-        return SocsFragment("fail", "curvature", kkt_report.to_dict(),
-                            coercivity.to_dict(), search.to_dict(), _SOCS_CAVEAT, tol)
-    return SocsFragment("pass-with-caveat", None, kkt_report.to_dict(),
-                        coercivity.to_dict(), search.to_dict(), _SOCS_CAVEAT, tol)
+        return SocsFragment("fail", "curvature", kkt_report, coercivity, search,
+                            _SOCS_CAVEAT, tol)
+    return SocsFragment("pass-with-caveat", None, kkt_report, coercivity, search,
+                        _SOCS_CAVEAT, tol)

@@ -102,8 +102,8 @@ class Trajectory:
     def to_dict(self) -> dict:
         return {
             "grid_n": self.grid.n_intervals,
-            "x": [[float(v) for v in row] for row in self.x],
-            "u": [[float(v) for v in row] for row in self.u],
+            "x": self.x,
+            "u": self.u,
         }
 
     @classmethod

@@ -123,6 +123,17 @@ class TestCheckKkt:
         assert err == ("error: non-finite constraint gradient values along trajectory"
                        " at node 0\n")
 
+    def test_literal_beyond_double_range_is_input_error(self, capsys, tmp_path):
+        doc = {"n": 1, "l": 1, "m": 1, "L": ["x1^2 + u1^2"], "phi": ["u1"],
+               "g": "u1 - 1" + "0" * 400, "x0": [0.0]}
+        path = tmp_path / "long_literal.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "check-kkt", str(path), "--lambda", "1",
+                                 "--grid", "10")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {path}: g: number too large for a double (byte offset 5)\n"
+
     def test_certificate_records_no_seed(self, capsys):
         # check-kkt draws no random numbers
         code, out, err = run_cli(capsys, "check-kkt", "builtin:example_6_1",
@@ -348,7 +359,8 @@ class TestFindim:
         assert "nz <= 4" in err
 
 
-    @pytest.mark.parametrize("flag", ["--steps=0", "--radius=-1", "--lambda-grid=0"])
+    @pytest.mark.parametrize("flag", ["--steps=0", "--radius=-1", "--lambda-grid=0",
+                                      "--zbar=nan,0", "--zbar=0,inf", "--dir=nan,1"])
     def test_invalid_oracle_or_grid_flag_is_usage_error(self, capsys, tmp_path,
                                                         findim_fixture_file, flag):
         # rejected before any work, whether or not the regularity gate passes
@@ -572,6 +584,19 @@ class TestThresholds:
         assert code == 1
         assert out == ""
         assert f"argument {flag}: must be a finite positive number" in err
+
+    @pytest.mark.parametrize("argv,flag,value", [
+        (KKT, "--lambda", "nan,1"),
+        (SOCS, "--lambda", "1,inf"),
+        (SOCS, "--max-iters", "-3"),
+        (SOCS, "--seed", "-1"),
+        (SOCN, "--seed", "-1"),
+    ])
+    def test_invalid_number_is_usage_error(self, capsys, argv, flag, value):
+        code, out, err = run_cli(capsys, *argv, f"{flag}={value}")
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {flag} must be")
 
 
 class TestConstructionContract:

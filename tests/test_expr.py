@@ -110,6 +110,15 @@ class TestParse:
             parse("x1 + + u1", (2, 2))
         assert err.value.offset == 5
 
+    @pytest.mark.parametrize("source, offset", [
+        ("x1 + 1" + "0" * 400, 5),  # reads inf as a double
+        ("x1^1" + "0" * 400, 3),  # the exponent too
+    ], ids=["literal", "exponent"])
+    def test_literal_beyond_double_range_rejected(self, source, offset):
+        with pytest.raises(ExprSyntaxError, match="number too large for a double") as err:
+            parse(source, (2, 2))
+        assert err.value.offset == offset
+
     def test_trailing_garbage(self):
         with pytest.raises(ExprSyntaxError):
             parse("x1 x2", (2, 2))

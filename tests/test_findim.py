@@ -21,6 +21,7 @@ from paretocert.findim import (
     second_order_necessary_check,
     weak_pareto_oracle,
 )
+from paretocert.problem import ProblemFormatError, load_problem
 
 # Fixture problems with hand-solved multiplier systems.  Each entry carries
 # the critical directions used by the soundness-link test and the expected
@@ -88,6 +89,18 @@ class TestLoader:
     def test_expression_error_path(self):
         with pytest.raises(FinDimFormatError, match=r"G\[0\]"):
             load_findim_problem({"nz": 1, "m": 1, "f": ["z1"], "G": ["z2"]})
+
+    def test_literal_beyond_double_range_rejected_at_load(self):
+        # a 401-digit literal reads inf; findim and control documents share
+        # the parser, so neither loads
+        big = "1" + "0" * 400
+        message = r"G\[0\]: number too large for a double \(byte offset 0\)"
+        with pytest.raises(FinDimFormatError, match=message):
+            load_findim_problem({"nz": 2, "m": 2, "f": ["z1 + z2", "z2 - z1"],
+                                 "G": [f"{big} * (z1 - 2)"]})
+        with pytest.raises(ProblemFormatError, match=r"g: number too large .*offset 5\)"):
+            load_problem({"n": 1, "l": 1, "m": 1, "L": ["x1^2 + u1^2"], "phi": ["u1"],
+                          "g": f"u1 - {big}", "x0": [0.0]})
 
 
 # Programs beyond the fixtures, for nz = 1, 2, 3: expressions that use only
@@ -358,15 +371,6 @@ class TestWeakParetoOracle:
             for radius, steps in ((0.5, 4), (1.0, 5)):
                 got = weak_pareto_oracle(point, radius=radius, steps=steps)
                 assert got is self.reference(p, point.z, radius, steps), (radius, steps)
-
-    def test_literal_beyond_double_range_matches_reference(self):
-        # a 401-digit literal reads inf, which compiled code cannot spell
-        big = "1" + "0" * 400
-        p = load_findim_problem({"nz": 2, "m": 2, "f": ["z1 + z2", "z2 - z1"],
-                                 "G": [f"{big} * (z1 - 2)"]})
-        point = FinDimPoint(p, np.zeros(2))
-        got = weak_pareto_oracle(point, radius=0.5, steps=4)
-        assert got is self.reference(p, point.z, 0.5, 4) is False
 
     @pytest.mark.parametrize("f, g, divisor", [
         ("z1 + 1 / (z2 + 0.25)", "z1 - 1", "z2 + 0.25"),  # z2 = -0.25 starts every row

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from paretocert.certificate import jsonable
 from paretocert.kkt import (
     FIXED_POINT_MAX_ITERATIONS,
     RESIDUAL_NAMES,
@@ -211,7 +212,7 @@ class TestKktResiduals:
         p = builtin("example_6_1")
         traj = zero_traj(p)
         _, _, report = KktWorkspace(p, traj).solve(UNIT)
-        json.dumps(report.to_dict())
+        json.dumps(jsonable(report))
 
     def test_lambda_validation(self):
         with pytest.raises(ValueError):

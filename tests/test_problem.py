@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from paretocert import expr as ex
+from paretocert.certificate import jsonable
 from paretocert.problem import (
     ProblemFormatError,
     UnknownBuiltinError,
@@ -164,6 +165,6 @@ class TestValidateH2:
 
     def test_report_serialises(self):
         p = builtin("example_6_1")
-        d = validate_h2(p, zero_trajectory(p), alpha=0.5).to_dict()
+        d = jsonable(validate_h2(p, zero_trajectory(p), alpha=0.5))
         assert d["passed"] is True
         json.dumps(d)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from paretocert.certificate import decide_verdict
+from paretocert.certificate import decide_verdict, jsonable
 from paretocert.kkt import MultiplierTriple
 from paretocert.problem import builtin, load_problem
 from paretocert.second_order import (
@@ -377,7 +377,7 @@ class TestSocnVerdict:
     def test_empty_direction_list_is_vacuous(self):
         frag = socn_verdict(zero_ws(builtin("example_6_1"), 50), [])
         assert frag.verdict == "vacuous"
-        assert decide_verdict("check-socn", {"socn": frag.to_dict()}) == "socn-pass"
+        assert decide_verdict("check-socn", jsonable({"socn": frag})) == "socn-pass"
 
     def test_non_critical_directions_skipped(self):
         ws = zero_ws(builtin("example_6_1"), 50)
@@ -395,9 +395,9 @@ class TestSocsVerdict:
         triple = zero_triple(p, ws.traj.grid, (0.5, 0.5))
         frag = socs_verdict(ws, triple, gamma0=1.0, n_probes=8, seed=4)
         assert frag.verdict == "pass-with-caveat"
-        assert decide_verdict("check-socs", {"socs": frag.to_dict()}) == "socs-pass"
+        assert decide_verdict("check-socs", jsonable({"socs": frag})) == "socs-pass"
         assert "probed directions" in frag.caveat
-        assert min(frag.search["restart_values"]) > 0
+        assert min(frag.search.restart_values) > 0
 
     def test_indefinite_example_fails_at_coercivity(self):
         p = builtin("example_6_2")
@@ -413,7 +413,7 @@ class TestSocsVerdict:
         triple = zero_triple(p, ws.traj.grid, (0.5, 0.5))
         frag = socs_verdict(ws, triple, gamma0=3.0, n_probes=4)
         assert frag.failed_stage == "coercivity"
-        assert frag.kkt["passed"] is True
+        assert frag.kkt.passed is True
 
     def test_bad_triple_fails_at_kkt(self):
         k = 101
