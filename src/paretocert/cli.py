@@ -8,10 +8,15 @@ activity threshold, so only they take --seed and --eps-act; check-kkt and
 findim record seed as null, and findim records grid_n as null too.  One
 --tol bounds every residual of a request (and, for the second-order
 commands, cone membership and the curvature signs).  --tol, --gamma0 and
---radius must be positive and finite, and --eps-act finite and nonnegative.
-When the constraint-sensitivity (H2) gate fails, check-kkt records a stub
-kkt fragment instead of solving for multipliers, as the second-order
-commands record a gated fragment.
+--radius must be positive and finite, --eps-act finite and nonnegative, and
+--grid at least 2.  When the constraint-sensitivity (H2) gate fails,
+check-kkt records a stub kkt fragment instead of solving for multipliers, as
+the second-order commands record a gated fragment.
+
+This module alone records request values, each once per certificate: --tol
+(and --eps-act) in the top-level tolerances record, the grid and the seed at
+the top level, and every other request input in parameters.  Fragments hold
+results only.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from .findim import (
     second_order_necessary_check,
     weak_pareto_oracle,
 )
-from .kkt import KktWorkspace, MultiplierTriple, tolerance_record
+from .kkt import KktWorkspace, MultiplierTriple
 from .problem import (
     ProblemFormatError,
     UnknownBuiltinError,
@@ -112,6 +117,7 @@ def _check_columns(label: str, doc: Trajectory, problem) -> None:
 
 
 def _load_trajectory(args, problem) -> Trajectory:
+    _at_least("--grid", args.grid, 2)
     if args.traj is None:
         grid = Grid(args.grid)
         u = np.zeros((args.grid + 1, problem.l))
@@ -190,8 +196,12 @@ def _gate_fragments(ws: KktWorkspace) -> dict:
     return {"feasibility": feasibility, "h2": ws.h2}
 
 
-def _finish(args, command, fragments, tolerances, parameters, started, *,
+def _finish(args, command, fragments, parameters, started, *,
             name, digest, grid_n, seed):
+    request = vars(args)
+    tolerances = {key: request[key] for key in ("tol", "eps_act") if key in request}
+    if request.get("traj") is not None:
+        parameters["traj_path"] = request["traj"]
     certificate = cert.assemble(
         command=command,
         fragments=fragments,
@@ -222,10 +232,9 @@ def _cmd_check_kkt(args) -> int:
     if ws.h2.passed:
         fragments["kkt"] = ws.solve(lam)[2]
     else:
-        fragments["kkt"] = {"passed": False, "tol": ws.tol,
+        fragments["kkt"] = {"passed": False,
                             "note": "h2 gate failed; multipliers not recovered"}
-    params = {"lambda": lam}
-    return _finish(args, "check-kkt", fragments, tolerance_record(ws.tol), params, started,
+    return _finish(args, "check-kkt", fragments, {"lambda": lam}, started,
                    name=problem.name, digest=cert.problem_hash(problem),
                    grid_n=traj.grid.n_intervals, seed=None)
 
@@ -243,6 +252,8 @@ def _cmd_check_socn(args) -> int:
         for i, direction in enumerate(directions):
             _check_columns(f"{args.directions}: direction {i}", direction, problem)
         params["directions_path"] = args.directions
+    else:
+        params["probes"] = args.probes
     traj = _load_trajectory(args, problem)
     ws = SecondOrderWorkspace(problem, traj, args.tol, args.eps_act)
     fragments = _gate_fragments(ws)
@@ -250,12 +261,11 @@ def _cmd_check_socn(args) -> int:
         if directions is None:
             directions = random_critical_directions(ws, count=args.probes,
                                                     seed=args.seed)
-            params["probes"] = args.probes
         fragments["socn"] = socn_verdict(ws, directions, lambda_points=args.lambda_grid)
     else:
-        fragments["socn"] = SocnFragment("gated", 0, [], [], [], ws.tol,
+        fragments["socn"] = SocnFragment("gated", 0, [], [], [],
                                          note="gates failed; sweep not run")
-    return _finish(args, "check-socn", fragments, tolerance_record(ws.tol), params, started,
+    return _finish(args, "check-socn", fragments, params, started,
                    name=problem.name, digest=cert.problem_hash(problem),
                    grid_n=traj.grid.n_intervals, seed=args.seed)
 
@@ -272,15 +282,16 @@ def _cmd_check_socs(args) -> int:
     traj = _load_trajectory(args, problem)
     ws = SecondOrderWorkspace(problem, traj, args.tol, args.eps_act)
     fragments = _gate_fragments(ws)
-    params = {"lambda": lam, "gamma0": args.gamma0, "probes": args.probes}
+    params = {"lambda": lam, "gamma0": args.gamma0, "probes": args.probes,
+              "max_iters": args.max_iters}
     if fragments["feasibility"]["passed"] and ws.h2.passed:
         p, theta, _ = ws.solve(lam)
         fragments["socs"] = socs_verdict(ws, MultiplierTriple(lam, p, theta),
                                          gamma0=args.gamma0, n_probes=args.probes,
                                          max_iters=args.max_iters, seed=args.seed)
     else:
-        fragments["socs"] = SocsFragment("gated", "gates", None, None, None, "", ws.tol)
-    return _finish(args, "check-socs", fragments, tolerance_record(ws.tol), params, started,
+        fragments["socs"] = SocsFragment("gated", "gates", None, None, None, "")
+    return _finish(args, "check-socs", fragments, params, started,
                    name=problem.name, digest=cert.problem_hash(problem),
                    grid_n=traj.grid.n_intervals, seed=args.seed)
 
@@ -333,8 +344,7 @@ def _cmd_findim(args) -> int:
             dir_entries.append(entry)
         oracle_value = weak_pareto_oracle(point, radius=args.radius,
                                           steps=args.steps)
-        fragments["oracle"] = {"weak_pareto": oracle_value,
-                               "radius": args.radius, "steps": args.steps}
+        fragments["oracle"] = {"weak_pareto": oracle_value}
         # contrapositive audit: an exhaustive-sample necessary failure at a
         # regular point must coincide with a negative oracle
         fragments["consistency"] = {
@@ -342,19 +352,19 @@ def _cmd_findim(args) -> int:
             "agrees_with_oracle": not any_failure or not oracle_value,
         }
     else:
-        fragments["oracle"] = {"weak_pareto": False, "radius": args.radius,
-                               "steps": args.steps, "note": "skipped: gates failed"}
+        fragments["oracle"] = {"weak_pareto": False, "note": "skipped: gates failed"}
         fragments["consistency"] = {"necessary_failed": None,
                                     "agrees_with_oracle": None}
-    fragments["multipliers"] = {"count": len(pairs), "pairs": pairs}
+    fragments["multipliers"] = {"pairs": pairs}
     fragments["directions"] = dir_entries
     params = {"zbar": zbar, "radius": args.radius,
               "steps": args.steps, "lambda_grid": args.lambda_grid}
-    return _finish(args, "findim", fragments, {"tol": point.tol}, params, started,
+    return _finish(args, "findim", fragments, params, started,
                    name=None, digest=cert.findim_hash(problem), grid_n=None, seed=None)
 
 
 def _cmd_integrate(args) -> int:
+    _at_least("--grid", args.grid, 2)
     problem = _load_problem_arg(args.problem)
     grid = Grid(args.grid)
     if args.control is not None:

@@ -495,8 +495,8 @@ def simplify(ast: ExprAst) -> ExprAst:
 class DerivTable:
     """Simplified first and second derivative trees of one expression.
 
-    ``grad[i]`` is d/dv_i expr and ``hess[i][j]`` is d/dv_j (d/dv_i expr),
-    stored for all ordered pairs of ``variables``.
+    ``grad[i]`` is d/dv_i expr and ``hess[i][j]`` is d/dv_j (d/dv_i expr)
+    for i <= j; ``hess[j][i]`` holds the same tree.
     """
 
     variables: tuple[str, ...]
@@ -505,9 +505,13 @@ class DerivTable:
 
 
 def deriv_table(ast: ExprAst, variables: Sequence[str]) -> DerivTable:
-    """Differentiate ``ast`` once and twice with respect to ``variables``."""
+    """Differentiate ``ast`` once and twice with respect to ``variables``;
+    each unordered pair is differentiated once."""
     grad = tuple(simplify(differentiate(ast, v)) for v in variables)
-    hess = tuple(tuple(simplify(differentiate(g, w)) for w in variables) for g in grad)
+    upper = [{j: simplify(differentiate(g, variables[j])) for j in range(i, len(variables))}
+             for i, g in enumerate(grad)]
+    hess = tuple(tuple(upper[min(i, j)][max(i, j)] for j in range(len(variables)))
+                 for i in range(len(variables)))
     return DerivTable(tuple(variables), grad, hess)
 
 

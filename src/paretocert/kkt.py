@@ -16,8 +16,9 @@ The command line builds one KktWorkspace per request (a
 SecondOrderWorkspace for the second-order commands); the gates, every
 weight's solve and every residual report read its field table and backward
 map.  The workspace also holds the request's one residual tolerance: every
-first-order residual is accepted against it, and the certificate records it
-once per residual name.
+first-order residual is accepted against it.  Reports carry residuals and
+verdicts only; the command line records the tolerance, the weight and the
+grid once per certificate.
 """
 
 from __future__ import annotations
@@ -49,15 +50,6 @@ class H2ViolationError(ValueError):
 H2_ALPHA = 1e-8  # fixed wellposedness gate for theta recovery
 FIXED_POINT_TOL = 1e-10  # max node change of theta that ends the (p, theta) iteration
 FIXED_POINT_MAX_ITERATIONS = 100
-
-RESIDUAL_NAMES = ("stationarity", "adjoint", "terminal", "sign",
-                  "complementarity", "feasibility", "state")
-
-
-def tolerance_record(tol: float) -> dict:
-    """The certificate's tolerance record: one entry per residual, all tol."""
-    return dict.fromkeys(RESIDUAL_NAMES, tol)
-
 
 @dataclass(frozen=True, eq=False)
 class MultiplierTriple:
@@ -96,30 +88,12 @@ class KktReport:
     feasibility_residual: float
     state_residual: float
     passed: bool
-    tol: float
-    lam: np.ndarray
-    grid_n: int
     converged: bool | None = None
     iterations: int | None = None
 
-    def residuals(self) -> dict:
-        return {
-            "stationarity_residual": self.stationarity_residual,
-            "adjoint_residual": self.adjoint_residual,
-            "terminal_residual": self.terminal_residual,
-            "theta_sign_violation": self.theta_sign_violation,
-            "complementarity_residual": self.complementarity_residual,
-            "feasibility_residual": self.feasibility_residual,
-            "state_residual": self.state_residual,
-        }
-
     def to_dict(self) -> dict:
-        out = {**self.residuals(), "passed": self.passed,
-               "tolerances": tolerance_record(self.tol), "lambda": self.lam,
-               "grid_n": self.grid_n}
-        if self.converged is not None:
-            out.update(converged=self.converged, iterations=self.iterations)
-        return out
+        """The fields, without converged/iterations when no solve set them."""
+        return {key: value for key, value in vars(self).items() if value is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +175,6 @@ class KktWorkspace:
             feasibility_residual=feas,
             state_residual=f.state_residual,
             passed=passed,
-            tol=self.tol,
-            lam=lam,
-            grid_n=f.grid.n_intervals,
         )
 
     def solve(self, lam):

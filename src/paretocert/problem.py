@@ -277,13 +277,14 @@ class H2Report:
 
     ``i0`` is the 1-based control index maximising min_t |g_{u_i}[t]| (lowest
     index wins ties); ``passed`` iff that minimum is at least ``alpha``.
+    ``argmin_node`` is the first node where |g_{u_{i0}}| equals ``alpha_hat``.
     """
 
     i0: int
     alpha_hat: float
     alpha: float
     passed: bool
-    per_node: np.ndarray
+    argmin_node: int
     per_control_min: np.ndarray
 
     @classmethod
@@ -298,7 +299,7 @@ class H2Report:
             alpha_hat=float(mins[i0]),
             alpha=float(alpha),
             passed=bool(mins[i0] >= alpha),
-            per_node=np.abs(gu_nodes[:, i0]),
+            argmin_node=int(np.argmin(np.abs(gu_nodes[:, i0]))),
             per_control_min=mins,
         )
 

@@ -14,9 +14,8 @@ computed once from eps_act and shared by every membership test and cone
 projection.
 
 The necessary-cone and sufficient-cone variants collapse to this same
-node-wise test at the discrete level; the variant is recorded in reports so
-certificates can carry the "discrete surrogate" caveat for the closure-based
-necessary cone.
+node-wise test at the discrete level; the necessary sweep's note carries the
+"discrete surrogate" caveat for the closure-based necessary cone.
 
 The curvature of a multiplier triple at a direction is
 
@@ -70,19 +69,15 @@ __all__ = [
 
 @dataclass
 class ConeMembership:
-    variant: str  # "necessary" or "sufficient"
     c1_residual: float
     c2_residual: float
     c3_residual: float
     active_nodes: np.ndarray
     passed: bool
-    eps_act: float
-    tol: float
     c1_values: np.ndarray
 
     def to_dict(self) -> dict:
-        out = dict(vars(self), active_node_count=len(self.active_nodes),
-                   note="node-wise discrete surrogate of the cone conditions")
+        out = dict(vars(self), active_node_count=len(self.active_nodes))
         del out["active_nodes"]
         return out
 
@@ -92,7 +87,6 @@ class CoercivityReport:
     passed: bool
     margin: float
     min_eigenvalue: float
-    gamma0: float
     argmin_node: int
 
 
@@ -160,15 +154,13 @@ class SecondOrderWorkspace(KktWorkspace):
         f = self.fields
         return np.einsum("kn,kn->k", f.gx, x) + np.einsum("kl,kl->k", f.gu, u)
 
-    def membership(self, direction: Direction, variant: str = "sufficient") -> ConeMembership:
+    def membership(self, direction: Direction) -> ConeMembership:
         """Node-wise membership test for the critical cone at the reference point."""
         if direction.grid.n_intervals != self.traj.grid.n_intervals:
             raise GridMismatchError(
                 f"direction grid N={direction.grid.n_intervals} does not match "
                 f"reference grid N={self.traj.grid.n_intervals}"
             )
-        if variant not in ("necessary", "sufficient"):
-            raise ValueError("variant must be 'necessary' or 'sufficient'")
         x, u = direction.x, direction.u
         c1_values = self.c1_integrals(x, u)
         c1 = float(max(0.0, np.max(c1_values)))
@@ -177,14 +169,11 @@ class SecondOrderWorkspace(KktWorkspace):
         c3 = float(max(0.0, np.max(vals[self.active], initial=0.0)))
         passed = c1 <= self.tol and c2 <= self.tol and c3 <= self.tol
         return ConeMembership(
-            variant=variant,
             c1_residual=c1,
             c2_residual=c2,
             c3_residual=c3,
             active_nodes=np.flatnonzero(self.active),
             passed=passed,
-            eps_act=self.eps_act,
-            tol=self.tol,
             c1_values=c1_values,
         )
 
@@ -256,7 +245,6 @@ def coercivity_check(ws: SecondOrderWorkspace, lam, gamma0: float) -> Coercivity
         passed=bool(min_eig >= gamma0),
         margin=min_eig - gamma0,
         min_eigenvalue=min_eig,
-        gamma0=float(gamma0),
         argmin_node=k,
     )
 
@@ -457,7 +445,7 @@ def random_critical_directions(
             continue
         u, x, _ = unit
         cand = Direction(grid, x, u)
-        if ws.membership(cand, "sufficient").passed:
+        if ws.membership(cand).passed:
             out.append(cand)
     return out
 
@@ -475,8 +463,9 @@ class SocnFragment:
     skipped: list
     results: list
     weight_grid: np.ndarray | list
-    tol: float
-    note: str = "existence is checked against the sampled weight grid only"
+    note: str = ("membership is the node-wise discrete surrogate of the cone "
+                 "conditions; existence is checked against the sampled weight "
+                 "grid only")
 
 
 def socn_verdict(
@@ -494,7 +483,7 @@ def socn_verdict(
     verdict = "holds"
     tested = 0
     for idx, direction in enumerate(directions):
-        membership = ws.membership(direction, "necessary")
+        membership = ws.membership(direction)
         if not membership.passed:
             skipped.append({
                 "index": idx,
@@ -548,7 +537,6 @@ def socn_verdict(
         skipped=skipped,
         results=results,
         weight_grid=weights,
-        tol=ws.tol,
     )
 
 
@@ -562,7 +550,6 @@ class SocsFragment:
     coercivity: CoercivityReport | None
     search: WorstDirectionResult | None
     caveat: str
-    tol: float
 
 
 _SOCS_CAVEAT = (
@@ -580,20 +567,19 @@ def socs_verdict(
     seed: int = 42,
 ) -> SocsFragment:
     """Sufficient-condition pipeline at one multiplier triple."""
-    tol = ws.tol
     kkt_report = ws.residuals(triple.lam, triple.p, triple.theta)
     if not kkt_report.passed:
-        return SocsFragment("fail", "kkt", kkt_report, None, None, _SOCS_CAVEAT, tol)
+        return SocsFragment("fail", "kkt", kkt_report, None, None, _SOCS_CAVEAT)
     coercivity = coercivity_check(ws, triple.lam, gamma0)
     if not coercivity.passed:
         return SocsFragment("fail", "coercivity", kkt_report, coercivity, None,
-                            _SOCS_CAVEAT, tol)
+                            _SOCS_CAVEAT)
     search = worst_critical_direction(ws, triple, n_restarts=n_probes,
                                       max_iters=max_iters, seed=seed)
     min_q = min(search.restart_values) if search.restart_values else search.q_value
     # probes are normalized to unit control norm, so the threshold is plain tol
-    if min_q <= tol:
+    if min_q <= ws.tol:
         return SocsFragment("fail", "curvature", kkt_report, coercivity, search,
-                            _SOCS_CAVEAT, tol)
+                            _SOCS_CAVEAT)
     return SocsFragment("pass-with-caveat", None, kkt_report, coercivity, search,
-                        _SOCS_CAVEAT, tol)
+                        _SOCS_CAVEAT)

@@ -108,8 +108,13 @@ class Trajectory:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Trajectory":
+        """Read a document; every x and u entry must be a finite number."""
         grid = Grid(int(data["grid_n"]))
-        return cls(grid, np.asarray(data["x"], dtype=float), np.asarray(data["u"], dtype=float))
+        x = np.asarray(data["x"], dtype=float)
+        u = np.asarray(data["u"], dtype=float)
+        if not (np.isfinite(x).all() and np.isfinite(u).all()):
+            raise ValueError("'x' and 'u' entries must be finite numbers")
+        return cls(grid, x, u)
 
 
 class Direction(Trajectory):
@@ -504,8 +509,8 @@ def hessian_blocks(problem: Problem, traj: Trajectory) -> HessianBlocks:
     Raises IntegrationError, naming the first node, when any entry is not
     finite.
 
-    An entry whose tree equals its mirror's is copied from the mirror: equal
-    trees share one compiled evaluator, so the copy is the same bits.
+    Derivative tables are symmetric by construction, so each entry below the
+    diagonal is copied from its mirror.
     """
     nl = problem.n + problem.l
     k = traj.grid.n_intervals + 1
@@ -514,7 +519,7 @@ def hessian_blocks(problem: Problem, traj: Trajectory) -> HessianBlocks:
         out = np.empty((k, nl, nl))
         for a in range(nl):
             for b in range(nl):
-                if b < a and table.hess[a][b] == table.hess[b][a]:
+                if b < a:
                     out[:, a, b] = out[:, b, a]
                 else:
                     out[:, a, b] = node_values(problem, table.hess[a][b], traj)

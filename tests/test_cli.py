@@ -239,6 +239,18 @@ class TestCheckSocn:
         assert cert["fragments"]["socn"]["verdict"] == "gated"
         assert cert["parameters"]["directions_path"] == str(path)
 
+    @pytest.mark.parametrize("flag", ["--directions", "--traj"])
+    def test_nonfinite_document_entry_is_input_error(self, capsys, tmp_path, flag):
+        doc = json.loads((Path(__file__).parent / "data" / "ramp_8.json").read_text())
+        doc["u"][3][0] = float("nan")
+        path = tmp_path / "ramp_nan.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "check-socn", "builtin:example_6_2", "--grid", "8",
+                                 flag, str(path))
+        assert code == 1
+        assert out == ""
+        assert str(path) in err and "finite" in err
+
     def test_non_critical_direction_skipped(self, capsys, tmp_path):
         doc = {"grid_n": 100, "x": np.ones((101, 2)).tolist(),
                "u": np.zeros((101, 2)).tolist()}
@@ -337,7 +349,7 @@ class TestFindim:
         assert code == 2
         cert = load_cert(out)
         assert cert["fragments"]["robinson"]["passed"] is False
-        assert cert["fragments"]["multipliers"]["count"] == 0
+        assert cert["fragments"]["multipliers"]["pairs"] == []
 
     def test_non_critical_direction_noted(self, capsys, findim_fixture_file):
         # negative leading entries need the = form, as usual with argparse
@@ -511,22 +523,19 @@ class TestCertificateProperties:
         assert load_cert(out)["seed"] == 99
 
 
-RESIDUAL_KEYS = {"stationarity", "adjoint", "terminal", "sign", "complementarity",
-                 "feasibility", "state"}
-
-
-def recorded_thresholds(node, path=""):
-    """(path, value) of every 'tol', 'eps_act' and 'tolerances' entry."""
+def key_counts(node, counts):
+    """Add how often each key occurs anywhere in node to counts.  A witness
+    direction is a whole trajectory document, loadable as --directions, so
+    its own grid_n is not counted."""
     if isinstance(node, dict):
-        for key, value in node.items():
-            here = f"{path}.{key}" if path else key
-            if key in ("tol", "eps_act", "tolerances"):
-                yield here, value
-            else:
-                yield from recorded_thresholds(value, here)
+        counts.update(node.keys() - ({"grid_n"} if node.keys() == {"grid_n", "x", "u"}
+                                     else set()))
+        for value in node.values():
+            key_counts(value, counts)
     elif isinstance(node, list):
-        for i, value in enumerate(node):
-            yield from recorded_thresholds(value, f"{path}[{i}]")
+        for value in node:
+            key_counts(value, counts)
+    return counts
 
 
 class TestThresholds:
@@ -536,24 +545,79 @@ class TestThresholds:
     SOCS = ("check-socs", "builtin:example_6_1", "--grid", "40", "--probes", "2",
             "--lambda", "0.5,0.5", "--gamma0", "0.5")
 
-    @pytest.mark.parametrize("argv,required", [
-        (SOCN, {"tolerances", "fragments.socn.tol",
-                "fragments.socn.results[0].membership.tol",
-                "fragments.socn.results[0].membership.eps_act"}),
-        (SOCS, {"tolerances", "fragments.socs.kkt.tolerances", "fragments.socs.tol"}),
-    ])
-    def test_one_value_recorded_everywhere(self, capsys, argv, required):
-        code, out, err = run_cli(capsys, *argv, "--tol", "1e-6", "--eps-act", "1e-5")
+    @pytest.fixture
+    def files(self, tmp_path, capsys, findim_fixture_file):
+        h2_fail = tmp_path / "h2_fail.json"
+        h2_fail.write_text(json.dumps({"n": 1, "l": 1, "m": 1, "L": ["x1^2 + u1^2"],
+                                       "phi": ["u1"], "g": "x1 - 1", "x0": [0.0]}))
+        cq_fail = tmp_path / "cq_fail.json"
+        cq_fail.write_text(json.dumps({"nz": 2, "m": 1, "f": ["z1^2 + z2^2"],
+                                       "G": ["z1", "-z1"]}))
+        traj = tmp_path / "traj.json"
+        code, _, err = run_cli(capsys, "integrate", "builtin:example_6_1", "--grid", "40",
+                               "--out", str(traj))
         assert code == 0, err
-        recorded = dict(recorded_thresholds(load_cert(out)))
-        assert required <= recorded.keys()
-        for path, value in recorded.items():
-            if path.endswith("tolerances"):
-                assert value == dict.fromkeys(RESIDUAL_KEYS, 1e-6), path
-            elif path.endswith("eps_act"):
-                assert value == 1e-5, path
-            else:
-                assert value == 1e-6, path
+        return {"h2_fail": str(h2_fail), "cq_fail": str(cq_fail), "traj": str(traj),
+                "findim": findim_fixture_file}
+
+    # argv with every request value set away from its default, and the
+    # values the certificate must record; the gated cases stop at a gate
+    REQUESTS = {
+        "check-kkt": (
+            ["check-kkt", "builtin:example_6_1", "--lambda", "0.5,0.5", "--traj", "{traj}",
+             "--tol", "1e-6"],
+            {"tol": 1e-6, "lambda": [0.5, 0.5], "grid_n": 40, "traj_path": "{traj}"}),
+        "check-kkt-gated": (
+            ["check-kkt", "{h2_fail}", "--lambda", "1", "--grid", "20", "--tol", "1e-6"],
+            {"tol": 1e-6, "lambda": [1.0], "grid_n": 20}),
+        "check-socn": (
+            ["check-socn", "builtin:example_6_1", "--traj", "{traj}", "--probes", "3",
+             "--lambda-grid", "3", "--seed", "5", "--tol", "1e-6", "--eps-act", "1e-5"],
+            {"tol": 1e-6, "eps_act": 1e-5, "grid_n": 40, "seed": 5, "lambda_grid": 3,
+             "probes": 3, "traj_path": "{traj}"}),
+        "check-socn-gated": (
+            ["check-socn", "{h2_fail}", "--grid", "20", "--probes", "3", "--lambda-grid", "3",
+             "--seed", "5", "--tol", "1e-6", "--eps-act", "1e-5"],
+            {"tol": 1e-6, "eps_act": 1e-5, "grid_n": 20, "seed": 5, "lambda_grid": 3,
+             "probes": 3}),
+        "check-socs": (
+            ["check-socs", "builtin:example_6_1", "--traj", "{traj}", "--lambda", "0.5,0.5",
+             "--gamma0", "0.5", "--probes", "2", "--max-iters", "7", "--seed", "5",
+             "--tol", "1e-6", "--eps-act", "1e-5"],
+            {"tol": 1e-6, "eps_act": 1e-5, "grid_n": 40, "seed": 5, "lambda": [0.5, 0.5],
+             "gamma0": 0.5, "probes": 2, "max_iters": 7, "traj_path": "{traj}"}),
+        "check-socs-gated": (
+            ["check-socs", "{h2_fail}", "--grid", "20", "--lambda", "1", "--gamma0", "0.5",
+             "--probes", "2", "--max-iters", "7", "--seed", "5", "--tol", "1e-6",
+             "--eps-act", "1e-5"],
+            {"tol": 1e-6, "eps_act": 1e-5, "grid_n": 20, "seed": 5, "lambda": [1.0],
+             "gamma0": 0.5, "probes": 2, "max_iters": 7}),
+        "findim": (
+            ["findim", "{findim}", "--zbar", "0,0", "--dir", "0,1", "--radius", "0.3",
+             "--steps", "4", "--lambda-grid", "5", "--tol", "1e-6"],
+            {"tol": 1e-6, "zbar": [0.0, 0.0], "radius": 0.3, "steps": 4, "lambda_grid": 5}),
+        "findim-gated": (
+            ["findim", "{cq_fail}", "--zbar", "0,0.5", "--radius", "0.3", "--steps", "4",
+             "--lambda-grid", "5", "--tol", "1e-6"],
+            {"tol": 1e-6, "zbar": [0.0, 0.5], "radius": 0.3, "steps": 4, "lambda_grid": 5}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(REQUESTS))
+    def test_each_request_value_recorded_once(self, capsys, files, case):
+        argv, expected = self.REQUESTS[case]
+        code, out, err = run_cli(capsys, *(a.format(**files) for a in argv))
+        assert err == ""
+        cert = load_cert(out)
+        assert code == (2 if case.endswith("-gated") else 0)
+        counts = key_counts(cert, collections.Counter())
+        thresholds, top_level = {"tol", "eps_act"}, {"grid_n", "seed"}
+        for key, value in expected.items():
+            assert counts[key] == 1, key
+            record = (cert["tolerances"] if key in thresholds
+                      else cert if key in top_level else cert["parameters"])
+            assert record[key] == (value.format(**files) if isinstance(value, str) else value)
+        assert cert["tolerances"].keys() == expected.keys() & thresholds
+        assert cert["parameters"].keys() == expected.keys() - thresholds - top_level
 
     @pytest.mark.parametrize("argv,flag,value", [
         (KKT, "--tol", "inf"),
@@ -591,6 +655,10 @@ class TestThresholds:
         (SOCS, "--max-iters", "-3"),
         (SOCS, "--seed", "-1"),
         (SOCN, "--seed", "-1"),
+        (KKT, "--grid", "1"),
+        (SOCN, "--grid", "1"),
+        (SOCS, "--grid", "0"),
+        (("integrate", "builtin:example_6_1"), "--grid", "1"),
     ])
     def test_invalid_number_is_usage_error(self, capsys, argv, flag, value):
         code, out, err = run_cli(capsys, *argv, f"{flag}={value}")

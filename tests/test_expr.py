@@ -17,6 +17,7 @@ from paretocert.expr import (
     VarBinding,
     compile_ast,
     control_variables,
+    deriv_table,
     differentiate,
     evaluate,
     parse,
@@ -209,6 +210,15 @@ class TestDifferentiate:
                     b = random_binding(rng)
                     a, c = evaluate(vw, b), evaluate(wv, b)
                     assert abs(a - c) <= 1e-12 * max(1.0, abs(a), abs(c))
+
+    def test_hessian_table_is_symmetric_by_construction(self):
+        variables = ("x1", "x2", "u1")
+        ast = parse("exp(x1*x2) + x1^3*u1", (2, 1))
+        table = deriv_table(ast, variables)
+        for i in range(len(variables)):
+            for j in range(i, len(variables)):
+                assert table.hess[j][i] is table.hess[i][j]
+                assert table.hess[i][j] == simplify(differentiate(table.grad[i], variables[j]))
 
 
 class TestSimplify:

@@ -114,19 +114,11 @@ class TestIsCritical:
         assert len(cm.active_nodes) == 41
         assert cm.c3_residual == pytest.approx(5.0)
         assert not cm.passed
-        assert (cm.eps_act, cm.tol) == (10.0, 1e-6)
 
     def test_grid_mismatch(self):
         ws = zero_ws(builtin("example_6_1"), 50)
         with pytest.raises(GridMismatchError):
             ws.membership(ramp_direction(Grid(20)))
-
-    def test_variant_recorded(self):
-        ws = zero_ws(builtin("example_6_1"), 20)
-        cm = ws.membership(ramp_direction(ws.traj.grid), variant="necessary")
-        assert cm.variant == "necessary"
-        with pytest.raises(ValueError):
-            ws.membership(ramp_direction(ws.traj.grid), variant="bogus")
 
 
 def q_of(ws, triple, d):
@@ -313,7 +305,7 @@ class TestRandomProbes:
         dirs = random_critical_directions(ws, 10, seed=0)
         assert len(dirs) == 10
         for d in dirs:
-            assert ws.membership(d, "sufficient").passed
+            assert ws.membership(d).passed
 
     def test_probes_have_unit_control_norm(self):
         ws = zero_ws(builtin("example_6_2"), 60)
