@@ -4,8 +4,9 @@ Exit codes: 0 = checks passed, 2 = a check failed and the certificate says
 why, 1 = usage or input error.  Certificates go to stdout (or --out) and are
 byte-deterministic for fixed inputs and --seed, apart from the wall_time_s
 field.  Only check-socn and check-socs draw random numbers or read an
-activity threshold, so only they take --seed and --eps-act; check-kkt and
-findim record seed as null, and findim records grid_n as null too.  One
+activity threshold, so only they take --seed and --eps-act; check-kkt,
+findim and check-socn with --directions (which draws none) record seed as
+null, and findim records grid_n as null too.  One
 --tol bounds every residual of a request (and, for the second-order
 commands, cone membership and the curvature signs).  --tol, --gamma0 and
 --radius must be positive and finite, --eps-act finite and nonnegative, and
@@ -267,7 +268,8 @@ def _cmd_check_socn(args) -> int:
                                          note="gates failed; sweep not run")
     return _finish(args, "check-socn", fragments, params, started,
                    name=problem.name, digest=cert.problem_hash(problem),
-                   grid_n=traj.grid.n_intervals, seed=args.seed)
+                   grid_n=traj.grid.n_intervals,
+                   seed=None if args.directions is not None else args.seed)
 
 
 def _cmd_check_socs(args) -> int:

@@ -30,6 +30,13 @@ component; it is a heuristic (projected residual descent with exact ratio
 line search plus alternating projections) and every verdict that uses it
 carries an explicit coverage caveat.  Search iterates and random probes are
 put on that sphere by one workspace method, ``project_unit``.
+
+The search carries the state x = S u of its iterate by linearity: a step
+u - alpha d takes the state x - alpha S d, with S d already computed for the
+line search, and the projection integrates only after it moves the
+controls.  ``membership`` stays the independent check of a result: it reads
+c1 from the L gradient fields, not from the Riesz vectors the projection
+uses, and measures c2 against a fresh integration of the controls.
 """
 
 from __future__ import annotations
@@ -126,14 +133,20 @@ class SecondOrderWorkspace(KktWorkspace):
         return LinearStateMap(f.phix, f.phiu, self.traj.grid)
 
     @cached_property
-    def c1_vectors(self) -> list:
+    def c1_vectors(self) -> np.ndarray:
         """Exact Riesz vectors of the c1 functionals against nodal controls,
-        under x = S u: c1_j(u) = <b_j, u> (flat Euclidean dot)."""
+        stacked as rows of an (m, K l) array: under x = S u,
+        c1_j(u) = b_j . u.ravel()."""
         f = self.fields
-        return [
+        return np.stack([
             self.linmap.apply_transpose(f.w[:, None] * f.Lx[j]) + f.w[:, None] * f.Lu[j]
             for j in range(self.problem.m)
-        ]
+        ]).reshape(self.problem.m, -1)
+
+    @cached_property
+    def c1_norms_sq(self) -> np.ndarray:
+        """||b_j||^2 of every c1 Riesz vector."""
+        return np.einsum("ja,ja->j", self.c1_vectors, self.c1_vectors)
 
     @cached_property
     def active(self) -> np.ndarray:
@@ -183,43 +196,48 @@ class SecondOrderWorkspace(KktWorkspace):
 
     # -- projection onto the discrete cone (alternating, heuristic) --------
 
-    def project_cone(self, u: np.ndarray, max_passes: int):
+    def project_cone(self, u: np.ndarray, max_passes: int, x: np.ndarray | None = None):
         """Alternating projection of controls onto the c1/c3 inequalities.
 
-        Node-wise half-space steps treat the state response as frozen and
-        re-integrate it between passes; the c1 steps are exact half-space
-        projections through the Riesz vectors.  Returns (u, x, moved) where
-        moved reports whether any correction was applied.
+        x is the state S u when the caller already has it; otherwise it is
+        integrated here.  Node-wise half-space steps treat the state response
+        as frozen and re-integrate it between passes; the c1 values are read
+        through the Riesz vectors, and the c1 steps are exact half-space
+        projections along them.  Returns (u, x, moved) where moved reports
+        whether any correction was applied.
         """
         gu = self.fields.gu
-        x = self.linmap.apply(u)
+        if x is None:
+            x = self.linmap.apply(u)
         moved = False
         slack = 0.1 * self.tol
         for _ in range(max_passes):
             vals = self.c3_values(x, u)
             viol = self.safe & (vals > slack)
-            c1_vals = self.c1_integrals(x, u)
-            if not np.any(viol) and not np.any(c1_vals > slack):
+            # einsum rather than @ keeps the products off BLAS's thread pool
+            # (see CurvatureForm.q_value)
+            c1 = np.einsum("ja,a->j", self.c1_vectors, u.reshape(-1))
+            if not np.any(viol) and not np.any(c1 > slack):
                 break
             if np.any(viol):
                 moved = True
-                u = u.copy()
-                u[viol] -= (vals[viol] / self.gu_sq[viol])[:, None] * gu[viol]
-            for b in self.c1_vectors:
-                bb = float(np.sum(b * b))
+                # a zero step at the other nodes leaves them as they are
+                step = np.divide(vals, self.gu_sq, out=np.zeros_like(vals), where=viol)
+                u = u - step[:, None] * gu
+            for b, bb in zip(self.c1_vectors, self.c1_norms_sq):
                 if bb < 1e-28:
                     continue
-                c = float(np.sum(b * u))
+                c = float(np.einsum("a,a->", b, u.reshape(-1)))
                 if c > slack:
                     moved = True
-                    u = u - (c / bb) * b
+                    u = u - (c / bb) * b.reshape(u.shape)
             x = self.linmap.apply(u)
         return u, x, moved
 
-    def project_unit(self, u: np.ndarray, max_passes: int):
+    def project_unit(self, u: np.ndarray, max_passes: int, x: np.ndarray | None = None):
         """project_cone, then scale to unit control norm: (u, x, moved), or
         None when the projection leaves (almost) the zero control."""
-        u, x, moved = self.project_cone(u, max_passes)
+        u, x, moved = self.project_cone(u, max_passes, x)
         nrm = np.sqrt(max(self.control_dot(u, u), 0.0))
         if nrm < 1e-12:
             return None
@@ -250,9 +268,15 @@ def coercivity_check(ws: SecondOrderWorkspace, lam, gamma0: float) -> Coercivity
 
 
 class CurvatureForm:
-    """The curvature Q of one multiplier triple: W at every node, with Q, its
-    polar bilinear form and its exact gradient in the controls, and the
-    projected descent for min Q(z(u)) over the cone with ||u||_2 = 1."""
+    """The curvature Q of one multiplier triple, with its exact gradient in
+    the controls and the projected descent for min Q(z(u)) over the cone
+    with ||u||_2 = 1.
+
+    Holds one array, the trapezoid-weighted Ww = w W at every node, so that
+    Q(z) = sum_k z_k . (Ww z)_k for the stacked node variables z = (x, u).
+    W is symmetric, as every Hessian block is (see hessian_blocks), so the
+    gradient of Q in z is 2 Ww z and its polar form at (z, z') is z' . Ww z.
+    """
 
     def __init__(self, ws: SecondOrderWorkspace, triple: MultiplierTriple):
         self.ws = ws
@@ -260,38 +284,38 @@ class CurvatureForm:
         W = np.einsum("j,jkab->kab", np.asarray(triple.lam, dtype=float), h.L)
         W += np.einsum("ikab,ki->kab", h.phi, np.asarray(triple.p, dtype=float))
         W += np.asarray(triple.theta, dtype=float)[:, None, None] * h.g
-        self.W = W
+        W *= ws.w[:, None, None]
+        self.Ww = W
         self.n = ws.problem.n
-        self.w = ws.w
 
-    @cached_property
-    def Wsum(self) -> np.ndarray:
-        """W + W^T; only the bilinear form and the gradient read it."""
-        return self.W + np.swapaxes(self.W, 1, 2)
+    def _times(self, x, u):
+        """z = (x, u) and Ww z."""
+        z = np.hstack([x, u])
+        return z, np.einsum("kab,kb->ka", self.Ww, z)
 
     def q_value(self, x, u) -> float:
-        z = np.hstack([x, u])
-        return float(np.einsum("ka,kab,kb->k", z, self.W, z) @ self.w)
-
-    def q_bilinear(self, x1, u1, x2, u2) -> float:
-        z1 = np.hstack([x1, u1])
-        z2 = np.hstack([x2, u2])
-        sym = np.einsum("ka,kab,kb->k", z1, self.Wsum, z2)
-        return 0.5 * float(sym @ self.w)
+        z, s = self._times(x, u)
+        # einsum, not @: numpy's BLAS runs a dot of over 10 000 entries (here
+        # K (n+l)) on its thread pool, where one call took 8 ms instead of
+        # 8 us on a 2-core machine
+        return float(np.einsum("ka,ka->", z, s))
 
     def gradient(self, x, u) -> np.ndarray:
+        return self._gradient(self._times(x, u)[1])
+
+    def _gradient(self, s) -> np.ndarray:
+        """Gradient in the controls of Q(S u, u), from s = Ww z."""
         n = self.n
-        gu = np.einsum("kln,kn->kl", self.Wsum[:, n:, :n], x)
-        gu += np.einsum("klm,km->kl", self.Wsum[:, n:, n:], u)
-        v = np.einsum("knm,km->kn", self.Wsum[:, :n, :n], x)
-        v += np.einsum("knl,kl->kn", self.Wsum[:, :n, n:], u)
-        return self.w[:, None] * gu + self.ws.linmap.apply_transpose(self.w[:, None] * v)
+        return 2.0 * (s[:, n:] + self.ws.linmap.apply_transpose(s[:, :n]))
 
     def minimize(self, u0: np.ndarray, max_iters: int):
         """Rayleigh-quotient descent: nonlinear CG on the residual direction
         with exact ratio line search; CG memory resets whenever the cone
         projection actually moves the iterate.
 
+        The state x = S u is carried by linearity: the trial state of a step
+        u - alpha d is x - alpha S d, with S d from the line search, and the
+        projection integrates afresh only when it moves the controls.
         Projection during descent is loose (few alternating passes); the best
         iterate gets a hard projection polish before its value is reported.
         """
@@ -306,9 +330,10 @@ class CurvatureForm:
         residual_prev = None
         direction = None
         for _ in range(max_iters):
-            grad = self.gradient(x, u)
+            _, s = self._times(x, u)
+            grad = self._gradient(s)
             # Rayleigh residual: vanishes at unconstrained stationarity
-            residual = grad - 2.0 * q * (self.w[:, None] * u)
+            residual = grad - 2.0 * q * (self.ws.w[:, None] * u)
             rr = self.ws.control_dot(residual, residual)
             if np.sqrt(rr) <= 1e-12 * (1 + abs(q)):
                 converged = True
@@ -320,8 +345,9 @@ class CurvatureForm:
                            / max(self.ws.control_dot(residual_prev, residual_prev), 1e-300))
                 direction = residual + beta * direction
             residual_prev = residual
-            alpha = self._exact_ratio_step(u, x, direction)
-            state = self.ws.project_unit(u - alpha * direction, max_passes=3)
+            alpha, xd = self._exact_ratio_step(u, q, s, direction)
+            state = self.ws.project_unit(u - alpha * direction, max_passes=3,
+                                         x=x - alpha * xd)
             if state is None:
                 break
             u, x, moved = state
@@ -339,17 +365,19 @@ class CurvatureForm:
             else:
                 stall = 0
             q = q_new
-        polished = self.ws.project_unit(best[1], max_passes=300)
+        polished = self.ws.project_unit(best[1], max_passes=300, x=best[2])
         if polished is not None:
             u, x, _ = polished
             best = (self.q_value(x, u), u, x)
         return best, converged
 
-    def _exact_ratio_step(self, u, x, d) -> float:
-        """Minimizer of the Rayleigh ratio along u - alpha d (pre-projection)."""
+    def _exact_ratio_step(self, u, q, s, d):
+        """Minimizer alpha of the Rayleigh ratio along u - alpha d
+        (pre-projection), and x_d = S d.  q = Q(z) and s = Ww z at the
+        current iterate z = (S u, u)."""
         xd = self.ws.linmap.apply(d)
-        a0 = self.q_value(x, u)
-        a1 = self.q_bilinear(x, u, xd, d)
+        a0 = q
+        a1 = float(np.einsum("ka,ka->", s, np.hstack([xd, d])))
         a2 = self.q_value(xd, d)
         b0 = self.ws.control_dot(u, u)
         b1 = self.ws.control_dot(u, d)
@@ -375,8 +403,8 @@ class CurvatureForm:
                 best_alpha, best_val = alpha, val
         if best_alpha is None or best_alpha <= 0:
             gn = np.sqrt(max(self.ws.control_dot(d, d), 1e-30))
-            return 0.2 / gn
-        return float(best_alpha)
+            return 0.2 / gn, xd
+        return float(best_alpha), xd
 
 
 def worst_critical_direction(
@@ -478,6 +506,7 @@ def socn_verdict(
     """
     weights = unit_weight_grid(ws.problem.m, lambda_points)
     solved = {}  # weight index -> (p, theta, report)
+    form = None  # (weight index, CurvatureForm) of the last triple tested
     skipped = []
     results = []
     verdict = "holds"
@@ -503,8 +532,9 @@ def socn_verdict(
                 q_by_weight.append({"lambda": lam, "kkt_passed": False})
                 continue
             kkt_valid += 1
-            form = CurvatureForm(ws, MultiplierTriple(lam, p, theta))
-            q = form.q_value(direction.x, direction.u)
+            if form is None or form[0] != i:
+                form = (i, CurvatureForm(ws, MultiplierTriple(lam, p, theta)))
+            q = form[1].q_value(direction.x, direction.u)
             q_by_weight.append({"lambda": lam, "kkt_passed": True, "q_value": q})
             if q >= -ws.tol:
                 found = {"lambda": lam, "q_value": q}

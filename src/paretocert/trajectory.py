@@ -31,6 +31,7 @@ from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
+from scipy.sparse import csr_array, get_index_dtype
 
 from . import expr as ex
 from .problem import Problem, node_values
@@ -280,11 +281,14 @@ def _state_defect(problem: Problem, traj: Trajectory, f: np.ndarray) -> float:
 # x' = A(t) x + r(t) with r linear between nodes (the adjoint run backward in
 # time, as a forward system in tau = 1 - t).  One RK4 step of it is
 # x_{k+1} = Phi_k x_k + G0_k r_k + G1_k r_{k+1}; _stage_maps builds Phi, G0
-# and G1 for every interval in batch, and _offsets applies the two node
-# source maps.  With x_0 = 0 the recurrence over all steps is one unit
-# block-lower-bidiagonal linear system, solved as a band by a single LAPACK
-# call; the same band solved with trans="T" gives the exact discrete
-# transpose.
+# and G1 for every interval in batch.  With x_0 = 0 the recurrence over all
+# steps is one unit block-lower-bidiagonal linear system, solved as a band by
+# a single LAPACK call; the same band solved with trans="T" gives the exact
+# discrete transpose.  The forward map, applied at every step of the
+# curvature search and every cone projection pass, holds its node source
+# maps as one sparse matrix from the stacked controls to the step offsets,
+# built once; the backward map, solved a few times per request, applies them
+# node by node with _offsets.
 
 
 class _AffineScan:
@@ -357,34 +361,43 @@ class LinearStateMap:
 
     The node source maps act on r = B u, so the step offsets are
     gamma0_k u_k + gamma1_k u_{k+1} with gamma0 = G0 B_k and gamma1 = G1 B_{k+1}.
-    The transpose solves the transposed band of the same recurrence, so it
-    is the exact adjoint of the discrete forward map:
+    They are held as one sparse (N n, (N+1) l) matrix Gamma from the stacked
+    controls to the stacked offsets, built once: row (k, i) holds the 2l
+    entries [gamma0_k[i] | gamma1_k[i]] over the controls u_k, u_{k+1}, which
+    are adjacent in the stacking.  ``apply`` is the banded solve of Gamma u,
+    and the transpose is Gamma^T applied to the transposed banded solve, so
+    it is the exact adjoint of the discrete forward map:
     <v, apply(u)> == <apply_transpose(v), u> to rounding for the flattened
     Euclidean inner products.
     """
 
     def __init__(self, A: np.ndarray, B: np.ndarray, grid: Grid):
         self.grid = grid
-        self.n = A.shape[-1]
-        self.l = B.shape[-1]
+        self.n = n = A.shape[-1]
+        self.l = l = B.shape[-1]
         self.phi, g0, g1 = _stage_maps(A, grid.h)
-        self.gamma0 = g0 @ B[:-1]
-        self.gamma1 = g1 @ B[1:]
+        steps = len(self.phi)
+        data = np.concatenate([g0 @ B[:-1], g1 @ B[1:]], axis=2).reshape(-1)
+        index = get_index_dtype(maxval=max(data.size, (steps + 1) * l))  # int32 if it fits
+        columns = np.broadcast_to(
+            np.arange(steps, dtype=index)[:, None, None] * l + np.arange(2 * l, dtype=index),
+            (steps, n, 2 * l)).reshape(-1)
+        self._gamma = csr_array(
+            (data, columns, np.arange(0, data.size + 1, 2 * l, dtype=index)),
+            shape=(steps * n, (steps + 1) * l))
+        self._gamma_t = self._gamma.T  # a CSC view of the same arrays
         self._scan = _AffineScan(self.phi)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """State response x (N+1, n) to nodal controls u (N+1, l)."""
         x = np.zeros((len(u), self.n))
-        x[1:] = self._scan.run(_offsets(self.gamma0, self.gamma1, u))
+        x[1:] = self._scan.run(self._gamma @ u.reshape(-1)).reshape(-1, self.n)
         return x
 
     def apply_transpose(self, v: np.ndarray) -> np.ndarray:
         """Transpose map: node weights on x (N+1, n) -> weights on u (N+1, l)."""
         mu = self._scan.run(v[1:], transpose=True)  # mu[k]: sensitivity to x_{k+1}
-        grad = np.zeros((len(v), self.l))
-        grad[:-1] += np.einsum("kij,ki->kj", self.gamma0, mu)
-        grad[1:] += np.einsum("kij,ki->kj", self.gamma1, mu)
-        return grad
+        return (self._gamma_t @ mu.reshape(-1)).reshape(len(v), self.l)
 
 
 class BackwardLinearMap:

@@ -522,6 +522,13 @@ class TestCertificateProperties:
                             "--probes", "2", "--max-iters", "5", "--seed", "99")
         assert load_cert(out)["seed"] == 99
 
+    def test_seed_not_recorded_for_given_directions(self, capsys):
+        # the directions come from the file, so no random number is drawn
+        ramp = Path(__file__).parent / "data" / "ramp_8.json"
+        _, out, _ = run_cli(capsys, "check-socn", "builtin:example_6_2", "--grid", "8",
+                            "--directions", str(ramp), "--seed", "7")
+        assert load_cert(out)["seed"] is None
+
 
 def key_counts(node, counts):
     """Add how often each key occurs anywhere in node to counts.  A witness

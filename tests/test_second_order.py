@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from paretocert import second_order
 from paretocert.certificate import decide_verdict, jsonable
 from paretocert.kkt import MultiplierTriple
 from paretocert.problem import builtin, load_problem
@@ -47,6 +48,31 @@ def zero_triple(problem, grid, lam):
     k = grid.n_intervals + 1
     return MultiplierTriple(np.asarray(lam, dtype=float),
                             np.zeros((k, problem.n)), np.zeros(k))
+
+
+# 6-state, 2-control, 3-objective nonlinear chain; the zero trajectory is a
+# KKT point (p = 0, theta = 0) with the constraint active at every node
+CHAIN_DOC = {
+    "n": 6, "l": 2, "m": 3, "x0": [0.0] * 6,
+    "L": ["1.2 * x1^2 + 0.8 * x2^2 + 1.4 * u1^2 + 1.6 * u2^2",
+          "2.0 * (x3 - x4)^2 + 1.2 * x5^4 + 1.7 * x2^2 + 1.4 * u1^2 + 1.1 * u2^2",
+          "1.3 * x6^2 + (exp(x1) - 1 - x1) + 0.9 * x4^2 + 0.6 * u1^2 + 1.9 * u2^2"],
+    "phi": ["0.9 * sin(x2) - x1 + u1", "1.5 * x1 * x3 + sin(x3) - x2",
+            "x2^2 + 0.7 * x4 - x3", "1.2 * sin(x5) - x4", "x4 * x6 + 0.6 * x6 - x5",
+            "1.8 * x5^2 - x6 + 1.3 * u2"],
+    "g": "0.8 * (x1 + x6 - u1 - u2)",
+}
+
+
+def chain_ws(n, smooth):
+    """Workspace of CHAIN_DOC along zero controls, or along smooth controls
+    (time-varying linearization, constraint active at some nodes only)."""
+    p = load_problem(CHAIN_DOC)
+    grid = Grid(n)
+    u = np.zeros((n + 1, 2))
+    if smooth:
+        u = np.stack([0.5 * np.sin(3 * grid.nodes + j) for j in range(2)], axis=1)
+    return SecondOrderWorkspace(p, integrate_state(p, u, grid))
 
 
 class TestIsCritical:
@@ -235,6 +261,17 @@ class TestWorstDirection:
         result = worst_critical_direction(ws, triple, n_restarts=5, seed=2)
         assert all(v > 0 for v in result.restart_values)
 
+    @pytest.mark.parametrize("smooth", [False, True], ids=["zero-ref", "smooth-ref"])
+    def test_state_carried_by_linearity_stays_on_the_cone(self, smooth):
+        # the search never integrates a trial state, and the polish returns
+        # the carried one when it does not move; membership integrates afresh
+        ws = chain_ws(2000, smooth)
+        triple = zero_triple(ws.problem, ws.traj.grid, (0.3, 0.3, 0.4))
+        result = worst_critical_direction(ws, triple, n_restarts=1, max_iters=50, seed=3)
+        cm = ws.membership(result.direction)
+        assert cm.passed
+        assert cm.c2_residual <= 1e-12
+
     def test_no_restarts_is_rejected(self):
         p = builtin("example_6_1")
         ws = zero_ws(p, 20)
@@ -317,6 +354,19 @@ class TestRandomProbes:
             norm_sq = quadrature((d.u**2).sum(axis=1), ws.traj.grid)
             assert norm_sq == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("max_passes", [1, 3, 300])
+    def test_given_state_matches_integrated_state(self, max_passes):
+        ws = chain_ws(400, smooth=True)
+        rng = np.random.default_rng(6)
+        u1, u2 = rng.standard_normal((2, 401, 2))
+        u = u1 - 0.7 * u2
+        x = ws.linmap.apply(u1) - 0.7 * ws.linmap.apply(u2)  # S u by linearity
+        got = ws.project_cone(u, max_passes, x=x)
+        expected = ws.project_cone(u, max_passes)
+        assert got[2] == expected[2]
+        for a, b in zip(got[:2], expected[:2]):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * np.max(np.abs(b)))
+
     def test_project_unit_rejects_zero_control(self):
         ws = zero_ws(builtin("example_6_1"), 20)
         assert ws.project_unit(np.zeros((21, 2)), max_passes=3) is None
@@ -365,6 +415,22 @@ class TestSocnVerdict:
         frag = socn_verdict(ws, dirs)
         assert frag.verdict == "holds"
         assert frag.tested == 20
+
+    def test_one_form_while_the_witness_weight_repeats(self, monkeypatch):
+        built = []
+
+        class Counted(CurvatureForm):
+            def __init__(self, ws, triple):
+                built.append(triple.lam)
+                super().__init__(ws, triple)
+
+        monkeypatch.setattr(second_order, "CurvatureForm", Counted)
+        ws = zero_ws(builtin("example_6_1"), 100)
+        frag = socn_verdict(ws, random_critical_directions(ws, 5, seed=5))
+        assert frag.verdict == "holds"
+        assert len(built) == 1
+        assert len(frag.results) == 5
+        assert all(np.array_equal(r["witness"]["lambda"], built[0]) for r in frag.results)
 
     def test_empty_direction_list_is_vacuous(self):
         frag = socn_verdict(zero_ws(builtin("example_6_1"), 50), [])

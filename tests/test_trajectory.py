@@ -349,6 +349,41 @@ class TestLinearMapInternals:
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
+class TestSparseSourceMap:
+    """The forward map's sparse node source map on a long nonlinear chain
+    (n = 6, l = 2, N = 2000), against the node-wise products it replaces."""
+
+    @pytest.fixture(scope="class")
+    def chain(self):
+        p = load_problem(CHAIN_DOC)
+        grid = Grid(2000)
+        fields = build_fields(p, integrate_state(p, smooth_controls(grid, p.l), grid))
+        return fields.phix, fields.phiu, grid
+
+    def test_apply_matches_node_wise_offsets(self, chain):
+        A, B, grid = chain
+        phi, g0, g1 = trajectory._stage_maps(A, grid.h)
+        gamma0, gamma1 = g0 @ B[:-1], g1 @ B[1:]
+        u = np.random.default_rng(11).normal(size=(grid.n_intervals + 1, 2))
+        offsets = (np.einsum("kij,kj->ki", gamma0, u[:-1])
+                   + np.einsum("kij,kj->ki", gamma1, u[1:]))
+        expected = np.zeros((len(u), 6))
+        expected[1:] = _AffineScan(phi).run(offsets)
+        got = LinearStateMap(A, B, grid).apply(u)
+        assert np.max(np.abs(got - expected)) <= 1e-13 * max(1.0, np.max(np.abs(expected)))
+
+    def test_transpose_is_exact_adjoint(self, chain):
+        A, B, grid = chain
+        linmap = LinearStateMap(A, B, grid)
+        rng = np.random.default_rng(12)
+        for _ in range(3):
+            u = rng.normal(size=(grid.n_intervals + 1, 2))
+            v = rng.normal(size=(grid.n_intervals + 1, 6))
+            lhs = float(np.sum(v * linmap.apply(u)))
+            rhs = float(np.sum(linmap.apply_transpose(v) * u))
+            assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
 class TestBackwardMap:
     def test_polynomial_source_closed_form(self):
         # p' = -2t, p(1) = 0  =>  p(t) = 1 - t^2; the scheme is exact on cubics
