@@ -1,9 +1,13 @@
 """Machine-readable certificates: assembly, hashing, and verdict recomputation.
 
-A certificate records every residual, tolerance, and fragment needed to
-re-audit a check without re-running it; the overall verdict is a pure
-function of (command, fragments), factored into ``decide_verdict`` so the
-emitted verdict and any later recomputation cannot drift apart.
+A certificate records every residual, tolerance and fragment of a check,
+and every request value once.  Its inputs are identified, not copied: a
+problem by the SHA-256 of its canonical document, an input file by its path
+(and the --directions file by the SHA-256 of its bytes), so that a
+counterexample in a given file is named by its index.  The overall verdict
+is a pure function of (command, fragments), factored into
+``decide_verdict`` so the emitted verdict and any later recomputation
+cannot drift apart.
 
 ``jsonable`` is the one conversion of program values to JSON values:
 fragments and parameters hold result objects, arrays and numpy scalars as

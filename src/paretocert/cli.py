@@ -16,13 +16,19 @@ the second-order commands record a gated fragment.
 
 This module alone records request values, each once per certificate: --tol
 (and --eps-act) in the top-level tolerances record, the grid and the seed at
-the top level, and every other request input in parameters.  Fragments hold
-results only.
+the top level, and every other request input in parameters, findim's --dir
+values among them.  An input file is recorded by path; the --directions file
+also by the SHA-256 of the bytes that were parsed.  Fragments hold results
+only, and name a given direction by its index.  A random probe of
+check-socn is generated, not given, so a failing one is a result and is
+recorded whole.  Trajectory, direction and control documents are read
+strictly: grid_n must be a JSON integer and every sample finite.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import time
@@ -61,6 +67,7 @@ from .trajectory import (
     Direction,
     Grid,
     Trajectory,
+    finite_samples,
     integrate_state,
     state_residual,
 )
@@ -135,19 +142,24 @@ def _load_trajectory(args, problem) -> Trajectory:
     return traj
 
 
-def _load_directions(path: str) -> list[Direction]:
+def _load_directions(path: str) -> tuple[list[Direction], str]:
+    """The directions a file holds and the SHA-256 of its bytes: the bytes
+    are read once, and the digest is of the bytes that were parsed."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as err:
         raise _InputError(f"cannot read directions file: {err}")
-    except json.JSONDecodeError as err:
+    try:
+        data = json.loads(raw.decode("utf-8"))
+    except ValueError as err:
         raise _InputError(f"{path}: invalid JSON ({err})")
     entries = data if isinstance(data, list) else [data]
     try:
-        return [Direction.from_dict(entry) for entry in entries]
+        directions = [Direction.from_dict(entry) for entry in entries]
     except (KeyError, ValueError) as err:
         raise _InputError(f"{path}: invalid direction document ({err})")
+    return directions, hashlib.sha256(raw).hexdigest()
 
 
 def _threshold(allow_zero: bool):
@@ -249,7 +261,7 @@ def _cmd_check_socn(args) -> int:
     params = {"lambda_grid": args.lambda_grid}
     directions = None
     if args.directions is not None:
-        directions = _load_directions(args.directions)
+        directions, params["directions_sha256"] = _load_directions(args.directions)
         for i, direction in enumerate(directions):
             _check_columns(f"{args.directions}: direction {i}", direction, problem)
         params["directions_path"] = args.directions
@@ -259,10 +271,17 @@ def _cmd_check_socn(args) -> int:
     ws = SecondOrderWorkspace(problem, traj, args.tol, args.eps_act)
     fragments = _gate_fragments(ws)
     if fragments["feasibility"]["passed"] and ws.h2.passed:
-        if directions is None:
+        probed = directions is None
+        if probed:
             directions = random_critical_directions(ws, count=args.probes,
                                                     seed=args.seed)
-        fragments["socn"] = socn_verdict(ws, directions, lambda_points=args.lambda_grid)
+        socn = socn_verdict(ws, directions, lambda_points=args.lambda_grid)
+        # a file-given direction is named by its index and the file's digest;
+        # a failing probe was generated, not given, so it is recorded whole
+        if probed and socn.verdict in ("violated", "kkt-degenerate"):
+            last = socn.results[-1]
+            last["direction"] = directions[last["index"]]
+        fragments["socn"] = socn
     else:
         fragments["socn"] = SocnFragment("gated", 0, [], [], [],
                                          note="gates failed; sweep not run")
@@ -332,7 +351,7 @@ def _cmd_findim(args) -> int:
         pairs = multiplier_set_sample(point, n_lambda=args.lambda_grid)
         any_failure = False
         for i, d in enumerate(directions):
-            entry = {"index": i, "direction": d}
+            entry = {"index": i}
             try:
                 curvature, verdict = second_order_necessary_check(point, d, pairs)
             except NotCriticalError as err:
@@ -359,7 +378,7 @@ def _cmd_findim(args) -> int:
                                     "agrees_with_oracle": None}
     fragments["multipliers"] = {"pairs": pairs}
     fragments["directions"] = dir_entries
-    params = {"zbar": zbar, "radius": args.radius,
+    params = {"zbar": zbar, "dir": directions, "radius": args.radius,
               "steps": args.steps, "lambda_grid": args.lambda_grid}
     return _finish(args, "findim", fragments, params, started,
                    name=None, digest=cert.findim_hash(problem), grid_n=None, seed=None)
@@ -373,13 +392,15 @@ def _cmd_integrate(args) -> int:
         try:
             with open(args.control, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-            u = np.asarray(data["u"], dtype=float)
+            if not isinstance(data, dict):
+                raise ValueError("document must be a JSON object")
+            if "grid_n" in data:
+                grid = Grid.from_json(data["grid_n"])
+            u = finite_samples(data, "u")
         except OSError as err:
             raise _InputError(f"cannot read control file: {err}")
         except (KeyError, ValueError) as err:
             raise _InputError(f"{args.control}: invalid control document ({err})")
-        if "grid_n" in data:
-            grid = Grid(int(data["grid_n"]))
     else:
         u = np.zeros((grid.n_intervals + 1, problem.l))
     traj = integrate_state(problem, u, grid)

@@ -255,7 +255,6 @@ def coercivity_check(ws: SecondOrderWorkspace, lam, gamma0: float) -> Coercivity
     n = ws.problem.n
     blocks = np.einsum("j,jkab->kab", np.asarray(lam, dtype=float),
                        ws.hessians.L[:, :, n:, n:])
-    blocks = 0.5 * (blocks + np.swapaxes(blocks, 1, 2))
     eigs = np.linalg.eigvalsh(blocks)[:, 0]
     k = int(np.argmin(eigs))
     min_eig = float(eigs[k])
@@ -503,6 +502,10 @@ def socn_verdict(
 ) -> SocnFragment:
     """For each critical direction, look for a weight whose recovered triple
     has nonnegative curvature; report the first direction where none exists.
+
+    Each result names its direction by ``index`` into ``directions`` and
+    holds no copy of it: the directions are the caller's input, and only
+    the caller knows whether they were given or generated.
     """
     weights = unit_weight_grid(ws.problem.m, lambda_points)
     solved = {}  # weight index -> (p, theta, report)
@@ -550,11 +553,9 @@ def socn_verdict(
         elif kkt_valid == 0:
             entry["holds"] = False
             entry["reason"] = "no weight produced a valid multiplier triple"
-            entry["direction"] = direction
             verdict = "kkt-degenerate"
         else:
             entry["holds"] = False
-            entry["direction"] = direction
             verdict = "violated"
         results.append(entry)
         if verdict != "holds":
@@ -606,9 +607,8 @@ def socs_verdict(
                             _SOCS_CAVEAT)
     search = worst_critical_direction(ws, triple, n_restarts=n_probes,
                                       max_iters=max_iters, seed=seed)
-    min_q = min(search.restart_values) if search.restart_values else search.q_value
     # probes are normalized to unit control norm, so the threshold is plain tol
-    if min_q <= ws.tol:
+    if search.q_value <= ws.tol:
         return SocsFragment("fail", "curvature", kkt_report, coercivity, search,
                             _SOCS_CAVEAT)
     return SocsFragment("pass-with-caveat", None, kkt_report, coercivity, search,

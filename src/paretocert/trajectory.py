@@ -40,6 +40,7 @@ __all__ = [
     "Grid",
     "Trajectory",
     "Direction",
+    "finite_samples",
     "IntegrationError",
     "GridMismatchError",
     "quadrature",
@@ -76,6 +77,13 @@ class Grid:
         if self.n_intervals < 2:
             raise ValueError("grid needs at least 2 intervals")
 
+    @classmethod
+    def from_json(cls, value) -> "Grid":
+        """The grid of a document's 'grid_n', which must be a JSON integer."""
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"'grid_n' must be an integer, not {value!r}")
+        return cls(value)
+
     @property
     def h(self) -> float:
         return 1.0 / self.n_intervals
@@ -109,17 +117,28 @@ class Trajectory:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Trajectory":
-        """Read a document; every x and u entry must be a finite number."""
-        grid = Grid(int(data["grid_n"]))
-        x = np.asarray(data["x"], dtype=float)
-        u = np.asarray(data["u"], dtype=float)
-        if not (np.isfinite(x).all() and np.isfinite(u).all()):
-            raise ValueError("'x' and 'u' entries must be finite numbers")
-        return cls(grid, x, u)
+        """Read a document; 'grid_n' must be a JSON integer and every x and u
+        entry a finite number."""
+        if not isinstance(data, dict):
+            raise ValueError("document must be a JSON object")
+        return cls(Grid.from_json(data["grid_n"]), finite_samples(data, "x"),
+                   finite_samples(data, "u"))
 
 
 class Direction(Trajectory):
     """Candidate critical direction z = (x, u); same sampling as Trajectory."""
+
+
+def finite_samples(data: dict, key: str) -> np.ndarray:
+    """The node samples a document holds under key, every one finite."""
+    try:
+        values = np.asarray(data[key], dtype=float)
+        finite = np.isfinite(values).all()
+    except TypeError:  # an entry that is a JSON object
+        finite = False
+    if not finite:
+        raise ValueError(f"'{key}' entries must be finite numbers")
+    return values
 
 
 # ---------------------------------------------------------------------------

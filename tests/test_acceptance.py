@@ -5,6 +5,7 @@ Each test prints one `ACCEPTANCE <n> ...: PASS|FAIL` line (visible with
 survives a failing run.
 """
 
+import hashlib
 import json
 import time
 
@@ -86,7 +87,9 @@ def test_criterion_2_socn_violation_certified(tmp_path, capsys):
     ok = (
         code == 2
         and cert["overall_verdict"] == "socn-violated"
-        and "direction" in entry
+        and entry["index"] == 0
+        and cert["parameters"]["directions_sha256"]
+        == hashlib.sha256(path.read_bytes()).hexdigest()
         and len(qs) == 21
         and all(q < 0 for q in qs)
         and elapsed < 5.0

@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -184,9 +185,30 @@ class TestCheckSocn:
         cert = load_cert(out)
         assert cert["overall_verdict"] == "socn-violated"
         entry = cert["fragments"]["socn"]["results"][0]
-        assert "direction" in entry
+        # the failing direction is named by its index into the file
+        assert entry["index"] == 0 and "direction" not in entry
+        assert cert["parameters"]["directions_sha256"] == hashlib.sha256(
+            path.read_bytes()).hexdigest()
         qs = [row["q_value"] for row in entry["q_by_weight"]]
         assert all(q < 0 for q in qs)
+
+    def test_probe_witness_round_trips_as_direction_file(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "check-socn", "builtin:example_6_2",
+                               "--grid", "60", "--probes", "3")
+        assert code == 2
+        probed = load_cert(out)
+        assert probed["overall_verdict"] == "socn-violated"
+        witness = probed["fragments"]["socn"]["results"][-1]
+        path = tmp_path / "witness.json"
+        path.write_text(json.dumps(witness["direction"]))
+        code, out, _ = run_cli(capsys, "check-socn", "builtin:example_6_2",
+                               "--grid", "60", "--directions", str(path))
+        assert code == 2
+        given = load_cert(out)
+        assert given["overall_verdict"] == "socn-violated"
+        entry = given["fragments"]["socn"]["results"][0]
+        assert entry["index"] == 0 and "direction" not in entry
+        assert entry["q_by_weight"] == witness["q_by_weight"]
 
     def test_quadratic_example_probes_pass(self, capsys):
         code, out, _ = run_cli(capsys, "check-socn", "builtin:example_6_1",
@@ -250,6 +272,19 @@ class TestCheckSocn:
         assert code == 1
         assert out == ""
         assert str(path) in err and "finite" in err
+
+    @pytest.mark.parametrize("grid_n", [8.7, 8.0, "8", True, None])
+    @pytest.mark.parametrize("flag", ["--directions", "--traj"])
+    def test_non_integer_grid_n_is_input_error(self, capsys, tmp_path, flag, grid_n):
+        doc = json.loads((Path(__file__).parent / "data" / "ramp_8.json").read_text())
+        doc["grid_n"] = grid_n
+        path = tmp_path / "ramp_grid.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "check-socn", "builtin:example_6_2", "--grid", "8",
+                                 flag, str(path))
+        assert code == 1
+        assert out == ""
+        assert str(path) in err and "'grid_n' must be an integer" in err
 
     def test_non_critical_direction_skipped(self, capsys, tmp_path):
         doc = {"grid_n": 100, "x": np.ones((101, 2)).tolist(),
@@ -463,6 +498,29 @@ class TestOtherCommands:
         assert data["x"][-1][0] == pytest.approx(1.0, abs=1e-10)
         assert data["state_residual"] <= 1e-12
 
+    U = np.ones((51, 2)).tolist()
+    BAD_CONTROLS = {
+        "grid-float": ({"grid_n": 50.7, "u": U}, "'grid_n' must be an integer"),
+        "grid-string": ({"grid_n": "abc", "u": U}, "'grid_n' must be an integer"),
+        "grid-bool": ({"grid_n": True, "u": U}, "'grid_n' must be an integer"),
+        "u-nan": ({"grid_n": 50, "u": U[:3] + [[float("nan"), 1.0]] + U[4:]},
+                  "'u' entries must be finite"),
+        "u-inf": ({"u": U[:50] + [[1.0, float("-inf")]]}, "'u' entries must be finite"),
+        "u-object": ({"u": U[:50] + [[1.0, {"v": 1.0}]]}, "'u' entries must be finite"),
+        "list": ([U], "document must be a JSON object"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_CONTROLS))
+    def test_invalid_control_document_is_input_error(self, capsys, tmp_path, case):
+        doc, message = self.BAD_CONTROLS[case]
+        path = tmp_path / "control.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "integrate", "builtin:example_6_1", "--grid", "50",
+                                 "--control", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {path}: invalid control document") and message in err
+
     def test_integrate_default_zero_control(self, capsys):
         code, out, _ = run_cli(capsys, "integrate", "builtin:damped_pendulum",
                                "--grid", "40")
@@ -564,11 +622,17 @@ class TestThresholds:
         code, _, err = run_cli(capsys, "integrate", "builtin:example_6_1", "--grid", "40",
                                "--out", str(traj))
         assert code == 0, err
+        t = Grid(40).nodes
+        ramp = tmp_path / "ramp.json"
+        ramp.write_text(json.dumps({"grid_n": 40, "x": np.stack([t, t], axis=1).tolist(),
+                                    "u": np.ones((41, 2)).tolist()}))
         return {"h2_fail": str(h2_fail), "cq_fail": str(cq_fail), "traj": str(traj),
+                "ramp": str(ramp), "ramp_sha256": hashlib.sha256(ramp.read_bytes()).hexdigest(),
                 "findim": findim_fixture_file}
 
     # argv with every request value set away from its default, and the
-    # values the certificate must record; the gated cases stop at a gate
+    # values the certificate must record; the gated cases stop at a gate,
+    # and the ramp direction violates the necessary condition of example_6_2
     REQUESTS = {
         "check-kkt": (
             ["check-kkt", "builtin:example_6_1", "--lambda", "0.5,0.5", "--traj", "{traj}",
@@ -587,6 +651,11 @@ class TestThresholds:
              "--seed", "5", "--tol", "1e-6", "--eps-act", "1e-5"],
             {"tol": 1e-6, "eps_act": 1e-5, "grid_n": 20, "seed": 5, "lambda_grid": 3,
              "probes": 3}),
+        "check-socn-violated": (
+            ["check-socn", "builtin:example_6_2", "--grid", "40", "--directions", "{ramp}",
+             "--lambda-grid", "3", "--tol", "1e-6", "--eps-act", "1e-5"],
+            {"tol": 1e-6, "eps_act": 1e-5, "grid_n": 40, "seed": None, "lambda_grid": 3,
+             "directions_path": "{ramp}", "directions_sha256": "{ramp_sha256}"}),
         "check-socs": (
             ["check-socs", "builtin:example_6_1", "--traj", "{traj}", "--lambda", "0.5,0.5",
              "--gamma0", "0.5", "--probes", "2", "--max-iters", "7", "--seed", "5",
@@ -600,13 +669,15 @@ class TestThresholds:
             {"tol": 1e-6, "eps_act": 1e-5, "grid_n": 20, "seed": 5, "lambda": [1.0],
              "gamma0": 0.5, "probes": 2, "max_iters": 7}),
         "findim": (
-            ["findim", "{findim}", "--zbar", "0,0", "--dir", "0,1", "--radius", "0.3",
-             "--steps", "4", "--lambda-grid", "5", "--tol", "1e-6"],
-            {"tol": 1e-6, "zbar": [0.0, 0.0], "radius": 0.3, "steps": 4, "lambda_grid": 5}),
+            ["findim", "{findim}", "--zbar", "0,0", "--dir", "0,1", "--dir", "1,0",
+             "--radius", "0.3", "--steps", "4", "--lambda-grid", "5", "--tol", "1e-6"],
+            {"tol": 1e-6, "zbar": [0.0, 0.0], "dir": [[0.0, 1.0], [1.0, 0.0]], "radius": 0.3,
+             "steps": 4, "lambda_grid": 5}),
         "findim-gated": (
-            ["findim", "{cq_fail}", "--zbar", "0,0.5", "--radius", "0.3", "--steps", "4",
-             "--lambda-grid", "5", "--tol", "1e-6"],
-            {"tol": 1e-6, "zbar": [0.0, 0.5], "radius": 0.3, "steps": 4, "lambda_grid": 5}),
+            ["findim", "{cq_fail}", "--zbar", "0,0.5", "--dir", "0,1", "--radius", "0.3",
+             "--steps", "4", "--lambda-grid", "5", "--tol", "1e-6"],
+            {"tol": 1e-6, "zbar": [0.0, 0.5], "dir": [[0.0, 1.0]], "radius": 0.3, "steps": 4,
+             "lambda_grid": 5}),
     }
 
     @pytest.mark.parametrize("case", sorted(REQUESTS))
@@ -615,8 +686,11 @@ class TestThresholds:
         code, out, err = run_cli(capsys, *(a.format(**files) for a in argv))
         assert err == ""
         cert = load_cert(out)
-        assert code == (2 if case.endswith("-gated") else 0)
+        assert code == (2 if case.endswith(("-gated", "-violated")) else 0)
         counts = key_counts(cert, collections.Counter())
+        # a given direction is named by its index; no result copies it
+        if not case.startswith("check-socs"):
+            assert counts["direction"] == 0
         thresholds, top_level = {"tol", "eps_act"}, {"grid_n", "seed"}
         for key, value in expected.items():
             assert counts[key] == 1, key

@@ -234,6 +234,34 @@ class TestCoercivity:
         assert not r.passed
         assert r.margin == pytest.approx(-1.0, abs=1e-12)
 
+    # control Hessians with off-diagonal entries that vary along the trajectory
+    MIXED_DOC = {"n": 2, "l": 3, "m": 2, "x0": [0.3, -0.2],
+                 "L": ["x1^2 + u1^2 + u1 * u2 * x1 + sin(u2) * u3^2",
+                       "exp(u1 * u3) + x2 * u2^2 + u1 * u2"],
+                 "phi": ["u1 - x2", "sin(x1) + u2 * u3"], "g": "u1 + u2 + u3 - 10"}
+
+    @pytest.mark.parametrize("name", ["example_6_1", "damped_pendulum", "chain", "mixed"])
+    def test_weighted_control_hessian_is_exactly_symmetric(self, name):
+        # coercivity_check hands lam^T L_uu to eigvalsh as it is: each Hessian
+        # block is built symmetric, and weighting keeps it so bit for bit
+        if name == "chain":
+            ws = chain_ws(2000, smooth=True)
+        elif name == "mixed":
+            p = load_problem(self.MIXED_DOC)
+            grid = Grid(2000)
+            u = np.stack([0.5 * np.sin(3 * grid.nodes + j) for j in range(3)], axis=1)
+            ws = SecondOrderWorkspace(p, integrate_state(p, u, grid))
+        else:
+            ws = zero_ws(builtin(name), 2000)
+        n = ws.problem.n
+        rng = np.random.default_rng(7)
+        for lam in rng.uniform(0.0, 1.0, (20, ws.problem.m)):
+            blocks = np.einsum("j,jkab->kab", lam, ws.hessians.L[:, :, n:, n:])
+            assert np.array_equal(blocks, np.swapaxes(blocks, 1, 2))
+            symmetrized = 0.5 * (blocks + np.swapaxes(blocks, 1, 2))
+            expected = np.linalg.eigvalsh(symmetrized)[:, 0].min()
+            assert coercivity_check(ws, lam, gamma0=1.0).min_eigenvalue == expected
+
     def test_gamma0_validated(self):
         with pytest.raises(ValueError):
             coercivity_check(zero_ws(builtin("example_6_1"), 20), (0.5, 0.5), gamma0=0.0)
@@ -407,7 +435,8 @@ class TestSocnVerdict:
             lam = row["lambda"]
             assert row["q_value"] == pytest.approx(-4.0 / 3.0 * sum(lam), abs=1e-4)
             assert row["q_value"] < 0
-        assert "direction" in entry
+        # the directions are the caller's input, named by index only
+        assert entry["index"] == 0 and "direction" not in entry
 
     def test_quadratic_example_holds_on_probes(self):
         ws = zero_ws(builtin("example_6_1"), 100)
