@@ -17,29 +17,28 @@ the second-order commands record a gated fragment.
 This module alone records request values, each once per certificate: --tol
 (and --eps-act) in the top-level tolerances record, the grid and the seed at
 the top level, and every other request input in parameters, findim's --dir
-values among them.  An input file is recorded by path; the --directions file
-also by the SHA-256 of the bytes that were parsed.  Fragments hold results
+values among them.  The --traj and --directions files are recorded by path
+and by the SHA-256 of the bytes that were parsed.  Fragments hold results
 only, and name a given direction by its index.  A random probe of
 check-socn is generated, not given, so a failing one is a result and is
-recorded whole.  Trajectory, direction and control documents are read
-strictly: grid_n must be a JSON integer and every sample finite.
+recorded whole.  Every input file is read under the rules of
+paretocert.document, its samples shaped as the request expects: the
+problem's n and l columns, and directions on the grid of --traj (or of
+--grid when no trajectory file is given).
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import sys
 import time
 
 import numpy as np
 
 from . import certificate as cert
+from . import document as doc
 from .findim import (
-    FinDimFormatError,
     FinDimPoint,
-    InfeasiblePointError,
     NotCriticalError,
     load_findim_problem,
     multiplier_set_sample,
@@ -48,13 +47,7 @@ from .findim import (
     weak_pareto_oracle,
 )
 from .kkt import KktWorkspace, MultiplierTriple
-from .problem import (
-    ProblemFormatError,
-    UnknownBuiltinError,
-    builtin,
-    load_problem,
-    serialize,
-)
+from .problem import builtin, load_problem, serialize
 from .second_order import (
     SecondOrderWorkspace,
     SocnFragment,
@@ -67,17 +60,12 @@ from .trajectory import (
     Direction,
     Grid,
     Trajectory,
-    finite_samples,
     integrate_state,
     state_residual,
 )
 
 
 class _UsageError(Exception):
-    pass
-
-
-class _InputError(Exception):
     pass
 
 
@@ -104,62 +92,40 @@ def _at_least(flag: str, value: int, low: int) -> None:
 
 def _load_problem_arg(spec: str):
     if spec.startswith("builtin:"):
-        try:
-            return builtin(spec.split(":", 1)[1])
-        except UnknownBuiltinError as err:
-            raise _InputError(str(err))
-    try:
-        with open(spec, "r", encoding="utf-8") as fh:
-            return load_problem(fh.read())
-    except OSError as err:
-        raise _InputError(f"cannot read problem file: {err}")
-    except ProblemFormatError as err:
-        raise _InputError(f"{spec}: {err}")
+        return builtin(spec.split(":", 1)[1])
+    return doc.read(spec, "problem", load_problem)[0]
 
 
-def _check_columns(label: str, doc: Trajectory, problem) -> None:
-    for key, dim in (("x", problem.n), ("u", problem.l)):
-        cols = getattr(doc, key).shape[1]
-        if cols != dim:
-            raise _InputError(f"{label}: '{key}' has {cols} columns, the problem needs {dim}")
+def _invalid(kind: str, where: str = ""):
+    """The error of a trajectory, direction or control document; where
+    names the entry of a list."""
+    return lambda message: doc.DocumentError(f"invalid {kind} document ({where}{message})")
 
 
-def _load_trajectory(args, problem) -> Trajectory:
+def _load_trajectory(args, problem, params: dict) -> Trajectory:
+    """The --traj document, recorded in params by path and digest, or the
+    zero-control trajectory on the --grid grid."""
     _at_least("--grid", args.grid, 2)
     if args.traj is None:
         grid = Grid(args.grid)
         u = np.zeros((args.grid + 1, problem.l))
         return integrate_state(problem, u, grid)
-    try:
-        with open(args.traj, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        traj = Trajectory.from_dict(data)
-    except OSError as err:
-        raise _InputError(f"cannot read trajectory file: {err}")
-    except (KeyError, ValueError) as err:
-        raise _InputError(f"{args.traj}: invalid trajectory document ({err})")
-    _check_columns(args.traj, traj, problem)
+    traj, params["traj_sha256"] = doc.read(args.traj, "trajectory", lambda data: (
+        Trajectory.from_dict(data, (problem.n, problem.l), error=_invalid("trajectory"))))
+    params["traj_path"] = args.traj
     return traj
 
 
-def _load_directions(path: str) -> tuple[list[Direction], str]:
-    """The directions a file holds and the SHA-256 of its bytes: the bytes
-    are read once, and the digest is of the bytes that were parsed."""
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as err:
-        raise _InputError(f"cannot read directions file: {err}")
-    try:
-        data = json.loads(raw.decode("utf-8"))
-    except ValueError as err:
-        raise _InputError(f"{path}: invalid JSON ({err})")
-    entries = data if isinstance(data, list) else [data]
-    try:
-        directions = [Direction.from_dict(entry) for entry in entries]
-    except (KeyError, ValueError) as err:
-        raise _InputError(f"{path}: invalid direction document ({err})")
-    return directions, hashlib.sha256(raw).hexdigest()
+def _load_directions(path: str, problem, grid_n: int) -> tuple[list[Direction], str]:
+    """The directions a file holds (an object or a list), each on the
+    reference grid, and the SHA-256 of the bytes that were parsed."""
+    def schema(data):
+        entries = data if isinstance(data, list) else [data]
+        return [Direction.from_dict(entry, (problem.n, problem.l), grid_n,
+                                    _invalid("direction", f"direction {i}: "))
+                for i, entry in enumerate(entries)]
+
+    return doc.read(path, "directions", schema)
 
 
 def _threshold(allow_zero: bool):
@@ -213,8 +179,6 @@ def _finish(args, command, fragments, parameters, started, *,
             name, digest, grid_n, seed):
     request = vars(args)
     tolerances = {key: request[key] for key in ("tol", "eps_act") if key in request}
-    if request.get("traj") is not None:
-        parameters["traj_path"] = request["traj"]
     certificate = cert.assemble(
         command=command,
         fragments=fragments,
@@ -239,7 +203,8 @@ def _cmd_check_kkt(args) -> int:
     started = time.perf_counter()
     problem = _load_problem_arg(args.problem)
     lam = _lambda_arg(args, problem.m)
-    traj = _load_trajectory(args, problem)
+    params = {"lambda": lam}
+    traj = _load_trajectory(args, problem, params)
     ws = KktWorkspace(problem, traj, args.tol)
     fragments = _gate_fragments(ws)
     if ws.h2.passed:
@@ -247,7 +212,7 @@ def _cmd_check_kkt(args) -> int:
     else:
         fragments["kkt"] = {"passed": False,
                             "note": "h2 gate failed; multipliers not recovered"}
-    return _finish(args, "check-kkt", fragments, {"lambda": lam}, started,
+    return _finish(args, "check-kkt", fragments, params, started,
                    name=problem.name, digest=cert.problem_hash(problem),
                    grid_n=traj.grid.n_intervals, seed=None)
 
@@ -259,15 +224,14 @@ def _cmd_check_socn(args) -> int:
     _at_least("--lambda-grid", args.lambda_grid, 1)
     _at_least("--seed", args.seed, 0)
     params = {"lambda_grid": args.lambda_grid}
+    traj = _load_trajectory(args, problem, params)
     directions = None
     if args.directions is not None:
-        directions, params["directions_sha256"] = _load_directions(args.directions)
-        for i, direction in enumerate(directions):
-            _check_columns(f"{args.directions}: direction {i}", direction, problem)
+        directions, params["directions_sha256"] = _load_directions(
+            args.directions, problem, traj.grid.n_intervals)
         params["directions_path"] = args.directions
     else:
         params["probes"] = args.probes
-    traj = _load_trajectory(args, problem)
     ws = SecondOrderWorkspace(problem, traj, args.tol, args.eps_act)
     fragments = _gate_fragments(ws)
     if fragments["feasibility"]["passed"] and ws.h2.passed:
@@ -300,11 +264,11 @@ def _cmd_check_socs(args) -> int:
     _at_least("--probes", args.probes, 1)
     _at_least("--max-iters", args.max_iters, 1)
     _at_least("--seed", args.seed, 0)
-    traj = _load_trajectory(args, problem)
-    ws = SecondOrderWorkspace(problem, traj, args.tol, args.eps_act)
-    fragments = _gate_fragments(ws)
     params = {"lambda": lam, "gamma0": args.gamma0, "probes": args.probes,
               "max_iters": args.max_iters}
+    traj = _load_trajectory(args, problem, params)
+    ws = SecondOrderWorkspace(problem, traj, args.tol, args.eps_act)
+    fragments = _gate_fragments(ws)
     if fragments["feasibility"]["passed"] and ws.h2.passed:
         p, theta, _ = ws.solve(lam)
         fragments["socs"] = socs_verdict(ws, MultiplierTriple(lam, p, theta),
@@ -321,13 +285,7 @@ def _cmd_findim(args) -> int:
     started = time.perf_counter()
     _at_least("--steps", args.steps, 3)
     _at_least("--lambda-grid", args.lambda_grid, 1)
-    try:
-        with open(args.problem, "r", encoding="utf-8") as fh:
-            problem = load_findim_problem(fh.read())
-    except OSError as err:
-        raise _InputError(f"cannot read problem file: {err}")
-    except FinDimFormatError as err:
-        raise _InputError(f"{args.problem}: {err}")
+    problem = doc.read(args.problem, "problem", load_findim_problem)[0]
     if args.zbar is None:
         raise _UsageError("--zbar is required")
     zbar = _parse_floats(args.zbar, "--zbar")
@@ -340,10 +298,7 @@ def _cmd_findim(args) -> int:
 
     point = FinDimPoint(problem, zbar, args.tol)
     fragments = {}
-    try:
-        robinson = robinson_check(point)
-    except InfeasiblePointError as err:
-        raise _InputError(str(err))
+    robinson = robinson_check(point)
     fragments["robinson"] = robinson
     pairs = []
     dir_entries = []
@@ -387,22 +342,18 @@ def _cmd_findim(args) -> int:
 def _cmd_integrate(args) -> int:
     _at_least("--grid", args.grid, 2)
     problem = _load_problem_arg(args.problem)
-    grid = Grid(args.grid)
-    if args.control is not None:
-        try:
-            with open(args.control, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-            if not isinstance(data, dict):
-                raise ValueError("document must be a JSON object")
-            if "grid_n" in data:
-                grid = Grid.from_json(data["grid_n"])
-            u = finite_samples(data, "u")
-        except OSError as err:
-            raise _InputError(f"cannot read control file: {err}")
-        except (KeyError, ValueError) as err:
-            raise _InputError(f"{args.control}: invalid control document ({err})")
+
+    def control(data):
+        """The grid ('grid_n', or --grid when absent) and the samples 'u' on it."""
+        error = _invalid("control")
+        doc.mapping(data, ("u",), ("grid_n",), error)
+        grid = Grid(doc.integer(data, "grid_n", 2, error) if "grid_n" in data else args.grid)
+        return grid, doc.samples(data, "u", (grid.n_intervals + 1, problem.l), error)
+
+    if args.control is None:
+        grid, u = Grid(args.grid), np.zeros((args.grid + 1, problem.l))
     else:
-        u = np.zeros((grid.n_intervals + 1, problem.l))
+        (grid, u), _ = doc.read(args.control, "control", control)
     traj = integrate_state(problem, u, grid)
     payload = {
         **traj.to_dict(),
@@ -413,11 +364,7 @@ def _cmd_integrate(args) -> int:
 
 
 def _cmd_show_builtin(args) -> int:
-    try:
-        problem = builtin(args.name)
-    except UnknownBuiltinError as err:
-        raise _InputError(str(err))
-    _emit(args, cert.dumps(serialize(problem)))
+    _emit(args, cert.dumps(serialize(builtin(args.name))))
     return 0
 
 
@@ -512,12 +459,9 @@ def main(argv=None) -> int:
         return int(err.code or 0)
     try:
         return args.handler(args)
-    except _UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (_InputError, OSError, ValueError) as err:
-        # ValueError covers the library's typed input failures
-        # (IntegrationError, GridMismatchError, dimension guards, ...)
+    except (_UsageError, OSError, ValueError) as err:
+        # ValueError covers the library's typed input failures (DocumentError,
+        # UnknownBuiltinError, IntegrationError, GridMismatchError, ...)
         print(f"error: {err}", file=sys.stderr)
         return 1
 

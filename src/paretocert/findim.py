@@ -32,14 +32,13 @@ compiled arithmetic raises.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping
 
 import numpy as np
 from scipy.optimize import linprog, nnls
 
+from . import document as doc
 from . import expr as ex
 from .simplex import unit_weight_grid
 
@@ -59,7 +58,7 @@ __all__ = [
 ]
 
 
-class FinDimFormatError(ValueError):
+class FinDimFormatError(doc.DocumentError):
     pass
 
 
@@ -142,48 +141,25 @@ class FinDimPoint:
         return np.flatnonzero(self.g >= -ACT_TOL)
 
 
-_SCHEMA_FIELDS = {"nz", "m", "f", "G"}
-
-
 def load_findim_problem(document) -> FinDimProblem:
-    """Load from JSON text or mapping: {"nz": int, "m": int, "f": [...], "G": [...]}."""
-    if isinstance(document, (str, bytes)):
-        try:
-            data = json.loads(document)
-        except json.JSONDecodeError as err:
-            raise FinDimFormatError(f"invalid JSON: {err}") from None
-    else:
-        data = document
-    if not isinstance(data, Mapping):
-        raise FinDimFormatError("document must be a JSON object")
-    unknown = set(data) - _SCHEMA_FIELDS
-    if unknown:
-        raise FinDimFormatError(f"unknown fields: {sorted(unknown)}")
-    for key in _SCHEMA_FIELDS:
-        if key not in data:
-            raise FinDimFormatError(f"missing field '{key}'")
-    nz, m = data["nz"], data["m"]
-    for key, v in (("nz", nz), ("m", m)):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise FinDimFormatError(f"'{key}' must be a positive integer")
-    for key, expected in (("f", m), ("G", None)):
-        v = data[key]
-        if not isinstance(v, list) or not all(isinstance(s, str) for s in v) or not v:
-            raise FinDimFormatError(f"'{key}' must be a nonempty list of strings")
-        if expected is not None and len(v) != expected:
-            raise FinDimFormatError(f"dimension mismatch: len({key})={len(v)}, m={expected}")
+    """Load from JSON text or mapping: {"nz": int, "m": int, "f": [str...],
+    "G": [str...]}, under the rules of :mod:`paretocert.document`; every
+    error is a FinDimFormatError that names the field."""
+    error = FinDimFormatError
+    data = doc.mapping(document, ("nz", "m", "f", "G"), error=error)
+    nz, m = (doc.integer(data, key, 1, error) for key in ("nz", "m"))
     variables = tuple(f"z{i}" for i in range(1, nz + 1))
 
-    def parse_list(key):
+    def parse_list(key, length):
         out = []
-        for i, s in enumerate(data[key]):
+        for i, s in enumerate(doc.strings(data, key, length, error)):
             try:
                 out.append(ex.parse_with_variables(s, variables))
             except ex.ExprError as err:
                 raise FinDimFormatError(f"{key}[{i}]: {err}") from None
         return tuple(out)
 
-    f, G = parse_list("f"), parse_list("G")
+    f, G = parse_list("f", m), parse_list("G", None)
     return FinDimProblem(
         nz=nz, m=m, f=f, G=G,
         f_derivs=tuple(ex.deriv_table(a, variables) for a in f),

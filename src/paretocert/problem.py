@@ -17,13 +17,13 @@ Problems are immutable after loading and safe to share across threads.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import document as doc
 from . import expr as ex
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 
-class ProblemFormatError(ValueError):
+class ProblemFormatError(doc.DocumentError):
     """Problem document violates the schema (message carries the field path)."""
 
 
@@ -134,65 +134,25 @@ def _make_problem(n, l, m, x0, L_sources, phi_sources, g_source, name=None) -> P
     )
 
 
-_SCHEMA_FIELDS = {"n", "l", "m", "x0", "L", "phi", "g", "name"}
-
-
 def load_problem(document) -> Problem:
     """Load a problem from a JSON text or an already-decoded mapping.
 
     Schema: {"n": int, "l": int, "m": int, "x0": [real...], "L": [str...],
-    "phi": [str...], "g": str, "name": str optional}.  Unknown fields are
-    rejected; dimension mismatches and expression errors report the field.
+    "phi": [str...], "g": str, "name": str optional}, under the rules of
+    :mod:`paretocert.document`; every error is a ProblemFormatError that
+    names the field.
     """
-    if isinstance(document, (str, bytes)):
-        try:
-            data = json.loads(document)
-        except json.JSONDecodeError as err:
-            raise ProblemFormatError(f"invalid JSON: {err}") from None
-    else:
-        data = document
-    if not isinstance(data, Mapping):
-        raise ProblemFormatError("problem document must be a JSON object")
-
-    unknown = set(data) - _SCHEMA_FIELDS
-    if unknown:
-        raise ProblemFormatError(f"unknown fields: {sorted(unknown)}")
-    for key in ("n", "l", "m", "x0", "L", "phi", "g"):
-        if key not in data:
-            raise ProblemFormatError(f"missing field '{key}'")
-
-    def positive_int(key):
-        v = data[key]
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise ProblemFormatError(f"'{key}' must be a positive integer")
-        return v
-
-    n, l, m = positive_int("n"), positive_int("l"), positive_int("m")
-
-    x0 = data["x0"]
-    if not isinstance(x0, list) or not all(isinstance(v, (int, float)) for v in x0):
-        raise ProblemFormatError("'x0' must be a list of reals")
-    if len(x0) != n:
-        raise ProblemFormatError(f"dimension mismatch: len(x0)={len(x0)}, n={n}")
-
-    def string_list(key, expected, dim_name):
-        v = data[key]
-        if not isinstance(v, list) or not all(isinstance(s, str) for s in v):
-            raise ProblemFormatError(f"'{key}' must be a list of strings")
-        if len(v) != expected:
-            raise ProblemFormatError(
-                f"dimension mismatch: len({key})={len(v)}, {dim_name}={expected}"
-            )
-        return v
-
-    L_sources = string_list("L", m, "m")
-    phi_sources = string_list("phi", n, "n")
+    error = ProblemFormatError
+    data = doc.mapping(document, ("n", "l", "m", "x0", "L", "phi", "g"), ("name",), error)
+    n, l, m = (doc.integer(data, key, 1, error) for key in ("n", "l", "m"))
+    x0 = doc.samples(data, "x0", (n,), error)
+    L_sources = doc.strings(data, "L", m, error)
+    phi_sources = doc.strings(data, "phi", n, error)
     if not isinstance(data["g"], str):
-        raise ProblemFormatError("'g' must be a string")
+        raise error("'g' must be a string")
     name = data.get("name")
     if name is not None and not isinstance(name, str):
-        raise ProblemFormatError("'name' must be a string")
-
+        raise error("'name' must be a string")
     return _make_problem(n, l, m, x0, L_sources, phi_sources, data["g"], name)
 
 

@@ -33,6 +33,7 @@ import numpy as np
 from scipy.linalg.lapack import dtbtrs
 from scipy.sparse import csr_array, get_index_dtype
 
+from . import document as doc
 from . import expr as ex
 from .problem import Problem, node_values
 
@@ -40,7 +41,6 @@ __all__ = [
     "Grid",
     "Trajectory",
     "Direction",
-    "finite_samples",
     "IntegrationError",
     "GridMismatchError",
     "quadrature",
@@ -77,13 +77,6 @@ class Grid:
         if self.n_intervals < 2:
             raise ValueError("grid needs at least 2 intervals")
 
-    @classmethod
-    def from_json(cls, value) -> "Grid":
-        """The grid of a document's 'grid_n', which must be a JSON integer."""
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"'grid_n' must be an integer, not {value!r}")
-        return cls(value)
-
     @property
     def h(self) -> float:
         return 1.0 / self.n_intervals
@@ -116,29 +109,24 @@ class Trajectory:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "Trajectory":
-        """Read a document; 'grid_n' must be a JSON integer and every x and u
-        entry a finite number."""
-        if not isinstance(data, dict):
-            raise ValueError("document must be a JSON object")
-        return cls(Grid.from_json(data["grid_n"]), finite_samples(data, "x"),
-                   finite_samples(data, "u"))
+    def from_dict(cls, data, columns=(None, None), grid_n=None,
+                  error=doc.DocumentError) -> "Trajectory":
+        """Read a document under the rules of :mod:`paretocert.document`:
+        'grid_n' an integer of at least 2 (equal to grid_n when that is
+        given), and 'x' and 'u' grid_n + 1 rows each of finite numbers, with
+        the given column counts (None: any).  The 'state_residual' that the
+        integrate command writes may be present; it is not read."""
+        doc.mapping(data, ("grid_n", "x", "u"), ("state_residual",), error)
+        grid = Grid(doc.integer(data, "grid_n", 2, error))
+        if grid_n not in (None, grid.n_intervals):
+            raise error(f"'grid_n' is {grid.n_intervals}, the request's grid is {grid_n}")
+        k = grid.n_intervals + 1
+        return cls(grid, doc.samples(data, "x", (k, columns[0]), error),
+                   doc.samples(data, "u", (k, columns[1]), error))
 
 
 class Direction(Trajectory):
     """Candidate critical direction z = (x, u); same sampling as Trajectory."""
-
-
-def finite_samples(data: dict, key: str) -> np.ndarray:
-    """The node samples a document holds under key, every one finite."""
-    try:
-        values = np.asarray(data[key], dtype=float)
-        finite = np.isfinite(values).all()
-    except TypeError:  # an entry that is a JSON object
-        finite = False
-    if not finite:
-        raise ValueError(f"'{key}' entries must be finite numbers")
-    return values
 
 
 # ---------------------------------------------------------------------------

@@ -627,6 +627,7 @@ class TestThresholds:
         ramp.write_text(json.dumps({"grid_n": 40, "x": np.stack([t, t], axis=1).tolist(),
                                     "u": np.ones((41, 2)).tolist()}))
         return {"h2_fail": str(h2_fail), "cq_fail": str(cq_fail), "traj": str(traj),
+                "traj_sha256": hashlib.sha256(traj.read_bytes()).hexdigest(),
                 "ramp": str(ramp), "ramp_sha256": hashlib.sha256(ramp.read_bytes()).hexdigest(),
                 "findim": findim_fixture_file}
 
@@ -637,7 +638,8 @@ class TestThresholds:
         "check-kkt": (
             ["check-kkt", "builtin:example_6_1", "--lambda", "0.5,0.5", "--traj", "{traj}",
              "--tol", "1e-6"],
-            {"tol": 1e-6, "lambda": [0.5, 0.5], "grid_n": 40, "traj_path": "{traj}"}),
+            {"tol": 1e-6, "lambda": [0.5, 0.5], "grid_n": 40, "traj_path": "{traj}",
+             "traj_sha256": "{traj_sha256}"}),
         "check-kkt-gated": (
             ["check-kkt", "{h2_fail}", "--lambda", "1", "--grid", "20", "--tol", "1e-6"],
             {"tol": 1e-6, "lambda": [1.0], "grid_n": 20}),
@@ -645,7 +647,8 @@ class TestThresholds:
             ["check-socn", "builtin:example_6_1", "--traj", "{traj}", "--probes", "3",
              "--lambda-grid", "3", "--seed", "5", "--tol", "1e-6", "--eps-act", "1e-5"],
             {"tol": 1e-6, "eps_act": 1e-5, "grid_n": 40, "seed": 5, "lambda_grid": 3,
-             "probes": 3, "traj_path": "{traj}"}),
+             "probes": 3, "traj_path": "{traj}",
+             "traj_sha256": "{traj_sha256}"}),
         "check-socn-gated": (
             ["check-socn", "{h2_fail}", "--grid", "20", "--probes", "3", "--lambda-grid", "3",
              "--seed", "5", "--tol", "1e-6", "--eps-act", "1e-5"],
@@ -661,7 +664,8 @@ class TestThresholds:
              "--gamma0", "0.5", "--probes", "2", "--max-iters", "7", "--seed", "5",
              "--tol", "1e-6", "--eps-act", "1e-5"],
             {"tol": 1e-6, "eps_act": 1e-5, "grid_n": 40, "seed": 5, "lambda": [0.5, 0.5],
-             "gamma0": 0.5, "probes": 2, "max_iters": 7, "traj_path": "{traj}"}),
+             "gamma0": 0.5, "probes": 2, "max_iters": 7, "traj_path": "{traj}",
+             "traj_sha256": "{traj_sha256}"}),
         "check-socs-gated": (
             ["check-socs", "{h2_fail}", "--grid", "20", "--lambda", "1", "--gamma0", "0.5",
              "--probes", "2", "--max-iters", "7", "--seed", "5", "--tol", "1e-6",
